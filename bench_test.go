@@ -22,10 +22,10 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"dcelens/internal/asm"
 	"dcelens/internal/bisect"
-	"dcelens/internal/core"
 	"dcelens/internal/corpus"
 	"dcelens/internal/harness"
 	"dcelens/internal/instrument"
@@ -96,7 +96,7 @@ func analyzeOneProgram(b *testing.B, seed int64) {
 		b.Fatal(err)
 	}
 	for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-		comp, err := Compile(ins, cfg)
+		comp, err := Compile(ins, cfg, Instr{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-				comp, _, err := CompileTraced(ins, cfg)
+				comp, err := Compile(ins, cfg, Instr{Trace: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -397,7 +397,7 @@ func BenchmarkHarnessOverhead(b *testing.B) {
 			for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
 				cfg := cfg
 				fail := h.Protect(seed, cfg.Name(), "", func(obs opt.Observer) error {
-					comp, err := core.CompileObserved(ins, cfg, obs)
+					comp, err := Compile(ins, cfg, Instr{Observer: obs})
 					if err != nil {
 						return err
 					}
@@ -428,29 +428,36 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		reg := metrics.New()
 		for i := 0; i < b.N; i++ {
-			seed := int64(5000 + i)
-			stop := reg.Time(metrics.PhaseGenerate)
-			prog := Generate(seed)
-			stop()
-			ins, err := Instrument(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stop = reg.Time(metrics.PhaseTruth)
-			truth, err := GroundTruth(ins)
-			stop()
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-				comp, err := core.CompileMetered(ins, cfg, nil, reg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = comp.Missed(truth)
-			}
+			meteredUnit(b, int64(5000+i), reg)
 		}
 	})
+}
+
+// meteredUnit is the single-program unit with a live registry threaded
+// through every layer, through the same phase clock a campaign uses.
+func meteredUnit(b *testing.B, seed int64, reg *metrics.Registry) {
+	b.Helper()
+	clock := metrics.PhaseClock{Reg: reg}
+	ph := clock.Start(metrics.PhaseGenerate)
+	prog := Generate(seed)
+	ph.Stop()
+	ins, err := Instrument(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ph = clock.Start(metrics.PhaseTruth)
+	truth, err := GroundTruth(ins)
+	ph.Stop()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
+		comp, err := Compile(ins, cfg, Instr{Metrics: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = comp.Missed(truth)
+	}
 }
 
 // BenchmarkMonitorOverhead measures what live monitoring costs a campaign:
@@ -462,33 +469,10 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // endpoints only read atomics behind the progress mutex, so "on" must stay
 // within the ~5% budget scripts/check.sh smoke-tests.
 func BenchmarkMonitorOverhead(b *testing.B) {
-	unit := func(b *testing.B, seed int64, reg *metrics.Registry) {
-		b.Helper()
-		stop := reg.Time(metrics.PhaseGenerate)
-		prog := Generate(seed)
-		stop()
-		ins, err := Instrument(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stop = reg.Time(metrics.PhaseTruth)
-		truth, err := GroundTruth(ins)
-		stop()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-			comp, err := core.CompileMetered(ins, cfg, nil, reg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = comp.Missed(truth)
-		}
-	}
 	b.Run("off", func(b *testing.B) {
 		reg := metrics.New()
 		for i := 0; i < b.N; i++ {
-			unit(b, int64(6000+i), reg)
+			meteredUnit(b, int64(6000+i), reg)
 			reg.Counter(metrics.CounterSeedsAnalyzed).Inc()
 		}
 	})
@@ -506,7 +490,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 		client := &http.Client{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			unit(b, int64(6000+i), reg)
+			meteredUnit(b, int64(6000+i), reg)
 			reg.Counter(metrics.CounterSeedsAnalyzed).Inc()
 			events.Emit("seed_end", map[string]any{"seed": 6000 + i})
 			resp, err := client.Get(url)
@@ -610,11 +594,11 @@ int main(void) {
 	ins.Markers = append(ins.Markers, instrument.Marker{ID: 0, Name: "DCEMarker0"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gcc, err := Compile(ins, GCC(O3))
+		gcc, err := Compile(ins, GCC(O3), Instr{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		llvm, err := Compile(ins, LLVM(O3))
+		llvm, err := Compile(ins, LLVM(O3), Instr{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -829,17 +813,20 @@ func BenchmarkUnitCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(ins, cfg); err != nil {
+		if _, err := Compile(ins, cfg, Instr{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPass times each pass of the llvm-sim -O3 schedule in isolation,
-// at its natural schedule position: outside the timer, the IR is rebuilt
-// and advanced through the schedule prefix ahead of the pass's first
-// occurrence; the timed body runs that single pass. A middle-end regression
-// thereby localizes to a pass instead of the whole campaign.
+// BenchmarkPass times every pass instance of the llvm-sim -O3 schedule in
+// isolation, one sub-benchmark per schedule position ("<pass>@<index>"):
+// each iteration rebuilds the IR and advances it through the schedule
+// prefix, then runs that single pass. Only the pass itself is measured: the
+// loop clocks it directly and overrides ns/op, B/op, and allocs/op with the
+// pass's own cost, so the set-up neither inflates the numbers nor pays for
+// timer toggling. A middle-end regression thereby localizes to a pass
+// instance instead of the whole campaign.
 func BenchmarkPass(b *testing.B) {
 	cfg := pipeline.New(pipeline.LLVM, pipeline.O3)
 	passes := cfg.Passes()
@@ -849,16 +836,13 @@ func BenchmarkPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seen := map[string]bool{}
 	for idx, p := range passes {
-		if seen[p.Name] {
-			continue // first occurrence: the most heavily loaded position
-		}
-		seen[p.Name] = true
-		b.Run(p.Name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s@%d", p.Name, idx), func(b *testing.B) {
 			b.ReportAllocs()
+			var ms runtime.MemStats
+			var elapsed time.Duration
+			var allocs, bytes uint64
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
 				m, err := lower.Lower(ins.Prog)
 				if err != nil {
 					b.Fatal(err)
@@ -866,11 +850,24 @@ func BenchmarkPass(b *testing.B) {
 				if err := opt.Pipeline(m, o, passes[:idx], 1); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				if err := opt.Pipeline(m, o, passes[idx:idx+1], 1); err != nil {
+				// Collect the set-up's garbage first, so the pass does not pay
+				// GC assists for it inside the timed region.
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				mallocs, alloced := ms.Mallocs, ms.TotalAlloc
+				start := time.Now()
+				err = opt.Pipeline(m, o, passes[idx:idx+1], 1)
+				elapsed += time.Since(start)
+				runtime.ReadMemStats(&ms)
+				allocs += ms.Mallocs - mallocs
+				bytes += ms.TotalAlloc - alloced
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/op")
+			b.ReportMetric(float64(allocs)/float64(b.N), "allocs/op")
+			b.ReportMetric(float64(bytes)/float64(b.N), "B/op")
 		})
 	}
 }

@@ -51,10 +51,11 @@ func singleProgram(seed int64, compiler, level string, profile, provenance bool)
 		fail(err)
 	}
 	cfg := mkCompiler(compiler, parseLevel(level))
-	comp, prof, err := dcelens.CompileTraced(ins, cfg)
+	comp, err := dcelens.Compile(ins, cfg, dcelens.Instr{Trace: true})
 	if err != nil {
 		fail(err)
 	}
+	prof := comp.Trace
 	fmt.Printf("%s on seed %d: %d markers, %d dead, %d surviving\n",
 		cfg.Name(), seed, len(ins.Markers), len(truth.Dead), len(comp.Missed(truth))+len(truth.Alive))
 	if profile {

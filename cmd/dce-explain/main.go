@@ -83,10 +83,11 @@ func singleProgram(seed int64, compiler, level string) {
 		cli.Fail(tool, err)
 	}
 	cfg := cli.Compiler(tool, compiler, cli.Level(tool, level))
-	comp, prof, err := dcelens.CompileRemarked(ins, cfg)
+	comp, err := dcelens.Compile(ins, cfg, dcelens.Instr{Remarks: true})
 	if err != nil {
 		cli.Fail(tool, err)
 	}
+	prof := comp.Remarks
 	missed := comp.Missed(truth)
 	fmt.Printf("%s on seed %d: %d markers, %d dead, %d missed, %d remarks\n",
 		cfg.Name(), seed, len(ins.Markers), len(truth.Dead), len(missed), prof.Total)

@@ -74,7 +74,7 @@ func main() {
 			name string
 			c    *dcelens.Compiler
 		}{{"gcc-sim", dcelens.GCC(lvl)}, {"llvm-sim", dcelens.LLVM(lvl)}} {
-			comp, err := dcelens.Compile(ins, mk.c)
+			comp, err := dcelens.Compile(ins, mk.c, dcelens.Instr{})
 			if err != nil {
 				fail(err)
 			}

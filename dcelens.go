@@ -16,8 +16,8 @@
 //	prog := dcelens.Generate(42)                       // random program
 //	ins, _ := dcelens.Instrument(prog)                 // add DCE markers
 //	truth, _ := dcelens.GroundTruth(ins)               // execute: dead/alive
-//	gcc, _ := dcelens.Compile(ins, dcelens.GCC(dcelens.O3))
-//	llvm, _ := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3))
+//	gcc, _ := dcelens.Compile(ins, dcelens.GCC(dcelens.O3), dcelens.Instr{})
+//	llvm, _ := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3), dcelens.Instr{})
 //	missed := dcelens.DiffMissed(gcc, llvm, truth)     // gcc's missed markers
 package dcelens
 
@@ -57,7 +57,8 @@ type Marker = instrument.Marker
 // Truth is the executed ground truth: which markers are alive or dead.
 type Truth = core.Truth
 
-// Compilation is a compiled program plus its surviving-marker set.
+// Compilation is a compiled program plus its surviving-marker set, and
+// the trace and remark profiles its Instr asked for.
 type Compilation = core.Compilation
 
 // MarkerCFG is the interprocedural marker graph used for primary-marker
@@ -93,21 +94,11 @@ type GenConfig = cgen.Config
 
 // Parse parses and type-checks MiniC source.
 func Parse(src string) (*Program, error) {
-	return ParseMetered(src, nil)
-}
-
-// ParseMetered is Parse with frontend telemetry: lexing, parsing, and
-// semantic analysis are timed into reg's phase.lex, phase.parse, and
-// phase.sema histograms. A nil registry collects nothing.
-func ParseMetered(src string, reg *MetricsRegistry) (*Program, error) {
-	prog, err := parser.ParseMetered(src, reg)
+	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	stop := reg.Time(metrics.PhaseSema)
-	err = sema.Check(prog)
-	stop()
-	if err != nil {
+	if err := sema.Check(prog); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -172,9 +163,17 @@ func CompilerAt(p pipeline.Personality, lvl Level, commits int) *Compiler {
 // History returns a personality's synthetic commit history.
 func History(p pipeline.Personality) []pipeline.Commit { return pipeline.History(p) }
 
+// Instr is a compilation's optional instrumentation: an extra pipeline
+// observer, a telemetry registry, a phase sink, the trace recorder
+// (Compilation.Trace), and the remark collector (Compilation.Remarks). The
+// zero value compiles uninstrumented, and no field changes the assembly.
+type Instr = core.Instr
+
 // Compile lowers, optimizes, and code-generates the instrumented program,
 // scanning the assembly for surviving markers (paper steps ②-③).
-func Compile(ins *Instrumented, c *Compiler) (*Compilation, error) { return core.Compile(ins, c) }
+func Compile(ins *Instrumented, c *Compiler, in Instr) (*Compilation, error) {
+	return core.Compile(ins, c, in)
+}
 
 // DiffMissed returns the dead markers target keeps but reference
 // eliminates: feasible missed optimizations of target (paper §3.1).
@@ -182,9 +181,10 @@ func DiffMissed(target, reference *Compilation, t *Truth) []string {
 	return core.DiffMissed(target, reference, t)
 }
 
-// Analyze compiles and computes missed plus primary-missed markers.
-func Analyze(ins *Instrumented, c *Compiler, t *Truth, g *MarkerCFG) (*core.Analysis, error) {
-	return core.Analyze(ins, c, t, g)
+// Analyze compiles (see Compile) and computes missed plus primary-missed
+// markers.
+func Analyze(ins *Instrumented, c *Compiler, t *Truth, g *MarkerCFG, in Instr) (*core.Analysis, error) {
+	return core.Analyze(ins, c, t, g, in)
 }
 
 // ---------------------------------------------------------------------------
@@ -322,18 +322,6 @@ type PassAttribution = trace.Attribution
 // PassElims is one row of the campaign-wide eliminations-per-pass table.
 type PassElims = trace.PassElims
 
-// CompileTraced compiles like Compile with the pipeline observer attached:
-// the returned profile records every pass instance's wall time and IR-size
-// delta, and attributes each eliminated marker to the pass that killed it.
-func CompileTraced(ins *Instrumented, c *Compiler) (*Compilation, *TraceProfile, error) {
-	return core.CompileTraced(ins, c)
-}
-
-// AnalyzeTraced is Analyze with tracing enabled (Analysis.Trace is set).
-func AnalyzeTraced(ins *Instrumented, c *Compiler, t *Truth, g *MarkerCFG) (*core.Analysis, error) {
-	return core.AnalyzeTraced(ins, c, t, g)
-}
-
 // AttributeFinding names the pass instance that eliminates a finding's
 // marker in the reference configuration — the trace-based root cause that
 // complements BisectRegression (which only works for version regressions).
@@ -368,19 +356,6 @@ type RemarkChainStep = remark.ChainStep
 // RemarkSummary aggregates remarks over a seed or a whole job: per-pass
 // applied/missed counts plus the miss-reason histogram.
 type RemarkSummary = corpus.RemarkSummary
-
-// CompileRemarked compiles like Compile with a remark collector attached:
-// every optimizing pass reports what it applied and what it considered but
-// rejected (with a reason code), and the returned profile chains the Missed
-// decisions relevant to each surviving marker.
-func CompileRemarked(ins *Instrumented, c *Compiler) (*Compilation, *RemarkProfile, error) {
-	coll := remark.NewCollector(instrument.IsMarker)
-	comp, err := core.CompileObserved(ins, c, coll)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, coll.Profile(), nil
-}
 
 // ExplainFinding renders one finding's missed-optimization narrative: the
 // finding header plus its nearest-miss chain (campaigns run with

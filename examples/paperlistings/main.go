@@ -206,9 +206,9 @@ func main() {
 		truth, err := dcelens.GroundTruth(ins)
 		check(err)
 
-		gcc, err := dcelens.Compile(ins, dcelens.GCC(dcelens.O3))
+		gcc, err := dcelens.Compile(ins, dcelens.GCC(dcelens.O3), dcelens.Instr{})
 		check(err)
-		llvm, err := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3))
+		llvm, err := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3), dcelens.Instr{})
 		check(err)
 
 		for _, m := range l.markers {
@@ -229,7 +229,7 @@ func main() {
 					cfg = dcelens.LLVM(lr.lower)
 					name = "llvm-sim"
 				}
-				low, err := dcelens.Compile(ins, cfg)
+				low, err := dcelens.Compile(ins, cfg, dcelens.Instr{})
 				check(err)
 				if low.Alive[m] {
 					fmt.Printf("   UNEXPECTED: %s misses the marker at %v too (no level regression)\n", name, lr.lower)

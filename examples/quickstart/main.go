@@ -40,9 +40,9 @@ func main() {
 		100*float64(len(truth.Dead))/float64(len(ins.Markers)))
 
 	// ③ Compile with both personalities at -O3.
-	gcc, err := dcelens.Compile(ins, dcelens.GCC(dcelens.O3))
+	gcc, err := dcelens.Compile(ins, dcelens.GCC(dcelens.O3), dcelens.Instr{})
 	check(err)
-	llvm, err := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3))
+	llvm, err := dcelens.Compile(ins, dcelens.LLVM(dcelens.O3), dcelens.Instr{})
 	check(err)
 
 	gccMissed := gcc.Missed(truth)

@@ -20,11 +20,11 @@ func TestEndToEndQuickstart(t *testing.T) {
 	if len(truth.Dead) == 0 || len(truth.Alive) == 0 {
 		t.Fatalf("degenerate truth: %d dead, %d alive", len(truth.Dead), len(truth.Alive))
 	}
-	gcc, err := Compile(ins, GCC(O3))
+	gcc, err := Compile(ins, GCC(O3), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	llvm, err := Compile(ins, LLVM(O3))
+	llvm, err := Compile(ins, LLVM(O3), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ int main(void) {
 			if truth.Alive["DCEMarker0"] {
 				t.Fatal("marker unexpectedly alive")
 			}
-			gcc, err := Compile(ins, GCC(O3))
+			gcc, err := Compile(ins, GCC(O3), Instr{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			llvm, err := Compile(ins, LLVM(O3))
+			llvm, err := Compile(ins, LLVM(O3), Instr{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,14 +186,14 @@ int main(void) {
 		t.Fatal(err)
 	}
 	ins := adoptMarkers(prog)
-	old, err := Compile(ins, CompilerAt(PersonalityLLVM, O3, 2))
+	old, err := Compile(ins, CompilerAt(PersonalityLLVM, O3, 2), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if old.Alive["DCEMarker0"] {
 		t.Error("llvm-sim base (flow-aware) should eliminate the Listing 6a marker")
 	}
-	cur, err := Compile(ins, LLVM(O3))
+	cur, err := Compile(ins, LLVM(O3), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ int main(void) {
 	}
 	aCheck, bCheck := ins.Markers[0].Name, ins.Markers[1].Name
 
-	gcc, err := Compile(ins, GCC(O3))
+	gcc, err := Compile(ins, GCC(O3), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	llvm, err := Compile(ins, LLVM(O3))
+	llvm, err := Compile(ins, LLVM(O3), Instr{})
 	if err != nil {
 		t.Fatal(err)
 	}

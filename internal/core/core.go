@@ -69,56 +69,114 @@ type Compilation struct {
 	// Alive holds the markers surviving in the assembly (the compiler
 	// could not prove their blocks dead).
 	Alive map[string]bool
+
+	// Trace is the per-pass profile and marker provenance of the
+	// compilation; nil unless compiled with Instr.Trace.
+	Trace *trace.Profile
+	// Remarks is the compilation's optimization-remark profile: per-pass
+	// applied/missed counts, miss-reason histogram, and each surviving
+	// marker's nearest-miss chain; nil unless compiled with Instr.Remarks.
+	Remarks *remark.Profile
+}
+
+// Instr is a compilation's optional instrumentation. The zero value
+// compiles uninstrumented; no field changes the produced assembly.
+type Instr struct {
+	// Observer is an extra pipeline observer (the harness watchdog/fault
+	// guard, a campaign's pass-span projector), chained after the trace
+	// recorder; nil adds none.
+	Observer opt.Observer
+	// Metrics receives the phase.lower/opt/codegen histograms, the per-pass
+	// timing and changed-rate collectors (opt.MetricsObserver), and the
+	// assembly-scan counter; nil records nothing.
+	Metrics *metrics.Registry
+	// Phases receives each phase execution's own start and duration (the
+	// span timeline's per-unit phase spans), timed by the same clock reads
+	// as the Metrics histograms; nil records nothing.
+	Phases metrics.PhaseSink
+	// Trace attaches a trace.Recorder: Compilation.Trace carries per-pass
+	// wall times, IR-size deltas, and the provenance attributing each
+	// eliminated marker to the pass instance that killed it. The trace's
+	// view of surviving markers is verified against the assembly scan, so a
+	// provenance entry can be trusted to describe what the oracle observes.
+	Trace bool
+	// Remarks attaches a remark.Collector: every optimizing pass reports
+	// what it applied and what it considered but rejected, and
+	// Compilation.Remarks chains the decisions relevant to each surviving
+	// marker. Off, the remark seam costs one nil check per pass.
+	Remarks bool
 }
 
 // Compile lowers, optimizes, and code-generates the instrumented program
-// under cfg, then scans the assembly for surviving markers.
-func Compile(ins *instrument.Program, cfg *pipeline.Config) (*Compilation, error) {
-	return CompileObserved(ins, cfg, nil)
-}
-
-// CompileObserved is Compile with a pipeline observer attached (the
-// harness passes its watchdog/fault-injection guard here); obs may be nil.
-func CompileObserved(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer) (*Compilation, error) {
-	return CompileMetered(ins, cfg, obs, nil)
-}
-
-// CompileMetered is CompileObserved with campaign telemetry: the lowering,
-// middle-end, and codegen phases are timed into reg ("phase.lower",
-// "phase.opt", "phase.codegen"), a per-pass collector rides the pipeline
-// (via Config.CompileMetered), and the assembly marker scan is counted. A
-// nil registry records nothing and adds no observer.
-func CompileMetered(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer, reg *metrics.Registry) (*Compilation, error) {
-	return CompileProbed(ins, cfg, obs, reg, nil)
-}
-
-// CompileProbed is CompileMetered with a phase probe observing each
-// back-half phase's individual wall-clock extent (lower, opt, codegen) —
-// the span timeline's per-unit phase spans. A nil probe costs one
-// comparison per phase and records nothing.
-func CompileProbed(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) (*Compilation, error) {
-	pstart := probe.Start()
-	stop := reg.Time(metrics.PhaseLower)
+// under cfg, then scans the assembly for surviving markers (paper steps
+// ②-③), with in's instrumentation attached.
+func Compile(ins *instrument.Program, cfg *pipeline.Config, in Instr) (*Compilation, error) {
+	clock := metrics.PhaseClock{Reg: in.Metrics, Sink: in.Phases}
+	ph := clock.Start(metrics.PhaseLower)
 	m, err := lower.Lower(ins.Prog)
-	stop()
-	probe.Observe(metrics.PhaseLower, pstart)
+	ph.Stop()
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.CompileProbed(m, obs, reg, probe); err != nil {
+	var rec *trace.Recorder
+	if in.Trace {
+		rec = trace.NewRecorder(ins.MarkerNames(), instrument.IsMarker)
+	}
+	var coll *remark.Collector
+	if in.Remarks {
+		// The collector is the chain's only RemarkSink: composing it is
+		// what turns the pipeline's remark emission on at all.
+		coll = remark.NewCollector(instrument.IsMarker)
+	}
+	obs := opt.Observers(rec, in.Observer, coll, opt.MetricsObserver(in.Metrics))
+	if err := optimize(clock, cfg, m, obs); err != nil {
 		return nil, err
 	}
-	pstart = probe.Start()
-	stop = reg.Time(metrics.PhaseCodegen)
+	ph = clock.Start(metrics.PhaseCodegen)
 	text := asm.Emit(m)
 	alive := map[string]bool{}
 	for _, name := range asm.SurvivingMarkers(text, instrument.IsMarker) {
 		alive[name] = true
 	}
-	stop()
-	probe.Observe(metrics.PhaseCodegen, pstart)
-	reg.Counter("stage.asm.scans").Inc()
-	return &Compilation{Config: cfg, Module: m, Asm: text, Alive: alive}, nil
+	ph.Stop()
+	in.Metrics.Counter("stage.asm.scans").Inc()
+	c := &Compilation{Config: cfg, Module: m, Asm: text, Alive: alive}
+	if rec != nil {
+		c.Trace = rec.Profile()
+		if err := c.checkTrace(); err != nil {
+			return nil, err
+		}
+	}
+	if coll != nil {
+		c.Remarks = coll.Profile()
+	}
+	return c, nil
+}
+
+// optimize runs cfg's pass pipeline as the timed opt phase. The phase
+// stops in a defer so a pipeline the harness guard aborts by panicking
+// (an injected crash, a blown step budget) is still timed.
+func optimize(clock metrics.PhaseClock, cfg *pipeline.Config, m *ir.Module, obs opt.Observer) error {
+	defer clock.Start(metrics.PhaseOpt).Stop()
+	return cfg.CompileObserved(m, obs)
+}
+
+// checkTrace cross-checks the trace's IR-level marker scan against the
+// assembly oracle: they must agree, or the provenance would attribute
+// eliminations the oracle never sees (or miss ones it does).
+func (c *Compilation) checkTrace() error {
+	surviving := c.Trace.FinalSurviving
+	if len(surviving) != len(c.Alive) {
+		return fmt.Errorf("core: %s: trace/asm marker disagreement: %d surviving in IR, %d in assembly",
+			c.Config.Name(), len(surviving), len(c.Alive))
+	}
+	for _, name := range surviving {
+		if !c.Alive[name] {
+			return fmt.Errorf("core: %s: trace/asm marker disagreement: %s survives in IR but not in assembly",
+				c.Config.Name(), name)
+		}
+	}
+	return nil
 }
 
 // VerifyAgainstTruth executes the compiled module and checks that the
@@ -195,43 +253,12 @@ type Analysis struct {
 	Compilation   *Compilation
 	Missed        []string
 	PrimaryMissed []string
-
-	// Trace is the per-pass profile and marker provenance of the
-	// compilation; nil unless the analysis ran with tracing enabled
-	// (AnalyzeTraced / corpus Options.Trace).
-	Trace *trace.Profile
-
-	// Remarks is the compilation's optimization-remark profile: per-pass
-	// applied/missed counts, miss-reason histogram, and each surviving
-	// marker's nearest-miss chain. Nil unless the analysis ran with a
-	// remark collector attached (corpus Options.Remarks); the collector
-	// rides the same Observers chain as the trace recorder and the
-	// profile is attached by the caller that owns the collector.
-	Remarks *remark.Profile
 }
 
-// Analyze compiles ins under cfg and computes missed and primary-missed
-// markers relative to the ground truth and the marker CFG.
-func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG) (*Analysis, error) {
-	return AnalyzeObserved(ins, cfg, t, g, nil)
-}
-
-// AnalyzeObserved is Analyze with a pipeline observer attached; obs may be
-// nil.
-func AnalyzeObserved(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer) (*Analysis, error) {
-	return AnalyzeMetered(ins, cfg, t, g, obs, nil)
-}
-
-// AnalyzeMetered is AnalyzeObserved with campaign telemetry recorded into
-// reg (see CompileMetered); a nil registry records nothing.
-func AnalyzeMetered(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer, reg *metrics.Registry) (*Analysis, error) {
-	return AnalyzeProbed(ins, cfg, t, g, obs, reg, nil)
-}
-
-// AnalyzeProbed is AnalyzeMetered with a phase probe (see CompileProbed);
-// a nil probe records nothing.
-func AnalyzeProbed(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) (*Analysis, error) {
-	comp, err := CompileProbed(ins, cfg, obs, reg, probe)
+// Analyze compiles ins under cfg (see Compile) and computes missed and
+// primary-missed markers relative to the ground truth and the marker CFG.
+func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, in Instr) (*Analysis, error) {
+	comp, err := Compile(ins, cfg, in)
 	if err != nil {
 		return nil, err
 	}

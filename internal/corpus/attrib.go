@@ -25,14 +25,14 @@ func (c *Campaign) EliminationsPerPass(key ConfigKey) []trace.PassElims {
 			continue
 		}
 		an := r.PerCfg[key]
-		if an == nil || an.Trace == nil {
+		if an == nil || an.Compilation.Trace == nil {
 			continue
 		}
 		dead := map[string]bool{}
 		for _, m := range r.Truth.Dead {
 			dead[m] = true
 		}
-		prov := an.Trace.Provenance()
+		prov := an.Compilation.Trace.Provenance()
 		for _, m := range prov.Markers {
 			if dead[m] {
 				counts[prov.Killer[m].Pass]++
@@ -83,14 +83,14 @@ func (c *Campaign) AttributeFinding(f Finding) (*trace.Attribution, error) {
 		return nil, fmt.Errorf("corpus: no result for seed %d", f.Seed)
 	}
 	ref := c.attributionReference(f, r)
-	comp, prof, err := core.CompileTraced(r.Ins, ref)
+	comp, err := core.Compile(r.Ins, ref, core.Instr{Trace: true})
 	if err != nil {
 		return nil, err
 	}
 	if comp.Alive[f.Marker] {
 		return nil, fmt.Errorf("corpus: %s does not eliminate %s (seed %d)", ref.Name(), f.Marker, f.Seed)
 	}
-	killer, ok := prof.Provenance().KillerOf(f.Marker)
+	killer, ok := comp.Trace.Provenance().KillerOf(f.Marker)
 	if !ok {
 		return nil, fmt.Errorf("corpus: %s eliminated %s but provenance has no killer (seed %d)",
 			ref.Name(), f.Marker, f.Seed)

@@ -513,26 +513,21 @@ func remarkFields(seed int64, rs *RemarkSummary) map[string]any {
 func buildProgram(o Options, h *harness.Harness, seed int64, ev *eventBuf, sp *spanBuf, tid int) *ProgramResult {
 	r := &ProgramResult{Seed: seed, PerCfg: map[ConfigKey]*core.Analysis{}}
 	if fail := h.Protect(seed, "", "", func(opt.Observer) error {
-		pstart := sp.now()
-		stop := o.Metrics.Time(metrics.PhaseGenerate)
+		clock := metrics.PhaseClock{Reg: o.Metrics, Sink: sp.phases(tid)}
+		ph := clock.Start(metrics.PhaseGenerate)
 		prog := cgen.Generate(o.GenConfig(seed))
-		stop()
-		sp.phase(tid, metrics.PhaseGenerate, pstart)
+		ph.Stop()
 		o.Metrics.Counter("stage.cgen.programs").Inc()
-		pstart = sp.now()
-		stop = o.Metrics.Time(metrics.PhaseInstrument)
+		ph = clock.Start(metrics.PhaseInstrument)
 		ins, err := instrument.Instrument(prog, instrument.Options{})
-		stop()
-		sp.phase(tid, metrics.PhaseInstrument, pstart)
+		ph.Stop()
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
 		}
 		r.Ins = ins
-		pstart = sp.now()
-		stop = o.Metrics.Time(metrics.PhaseTruth)
+		ph = clock.Start(metrics.PhaseTruth)
 		r.Truth, err = core.GroundTruth(ins)
-		stop()
-		sp.phase(tid, metrics.PhaseTruth, pstart)
+		ph.Stop()
 		o.Metrics.Counter("stage.interp.runs").Inc()
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
@@ -570,7 +565,6 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 	cfg := pipeline.New(key.Personality, key.Level)
 	ev.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
 	ustart := sp.now()
-	probe := sp.probe(tid)
 	var out *core.Analysis
 	fail := h.Protect(r.Seed, key.String(), src, func(obs opt.Observer) error {
 		if sp != nil {
@@ -578,20 +572,10 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 			// metrics collectors, after the harness guard.
 			obs = opt.Observers(obs, &passSpans{sp: sp, tid: tid})
 		}
-		var coll *remark.Collector
-		if remarks {
-			// The collector is the chain's only RemarkSink: composing it here
-			// is what turns the pipeline's remark emission on at all.
-			coll = remark.NewCollector(instrument.IsMarker)
-			obs = opt.Observers(obs, coll)
-		}
-		var an *core.Analysis
-		var err error
-		if traced {
-			an, err = core.AnalyzeTracedProbed(r.Ins, cfg, r.Truth, r.Graph, obs, o.Metrics, probe)
-		} else {
-			an, err = core.AnalyzeProbed(r.Ins, cfg, r.Truth, r.Graph, obs, o.Metrics, probe)
-		}
+		an, err := core.Analyze(r.Ins, cfg, r.Truth, r.Graph, core.Instr{
+			Observer: obs, Metrics: o.Metrics, Phases: sp.phases(tid),
+			Trace: traced, Remarks: remarks,
+		})
 		if err != nil {
 			return err
 		}
@@ -599,9 +583,6 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 			if verr := an.Compilation.VerifyAgainstTruth(r.Truth); verr != nil {
 				return fmt.Errorf("%w: %v", harness.ErrMiscompile, verr)
 			}
-		}
-		if coll != nil {
-			an.Remarks = coll.Profile()
 		}
 		out = an
 		return nil
@@ -780,7 +761,7 @@ func diffFindings(o Options, r *ProgramResult) []Finding {
 				// The nearest-miss chain comes from the compilation that
 				// failed to eliminate the marker — the decisions worth
 				// explaining are the misser's, not the reference's.
-				Chain: target.Remarks.Chain(m),
+				Chain: target.Compilation.Remarks.Chain(m),
 			})
 		}
 	}
@@ -822,7 +803,7 @@ func levelFindings(o Options, r *ProgramResult) []Finding {
 				Kind: KindLevelDiff, Seed: r.Seed, Marker: m,
 				Personality: p, Level: pipeline.O3, Primary: prim[m],
 				Context: findingContext(r.Graph, r.Truth, missedSet, m),
-				Chain:   o3.Remarks.Chain(m),
+				Chain:   o3.Compilation.Remarks.Chain(m),
 			})
 		}
 	}

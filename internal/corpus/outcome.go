@@ -100,7 +100,7 @@ func outcomeOf(o Options, r *ProgramResult) *SeedOutcome {
 				Missed:      len(an.Missed),
 				Primary:     len(an.PrimaryMissed),
 			})
-			rsum.add(an.Remarks)
+			rsum.add(an.Compilation.Remarks)
 		}
 	}
 	if o.Remarks {

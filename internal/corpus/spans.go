@@ -37,23 +37,16 @@ func (b *spanBuf) now() time.Time {
 	return time.Now()
 }
 
-// phase records one phase span that began at start and ends now.
-func (b *spanBuf) phase(tid int, name string, start time.Time) {
-	if b == nil {
-		return
-	}
-	b.add(span.Span{Name: name, Cat: span.CatPhase, TID: tid, Start: start, Dur: time.Since(start)})
-}
-
 func (b spanBuf) flush(r *span.Recorder) {
 	for _, sp := range b {
 		r.Emit(sp)
 	}
 }
 
-// probe returns the phase probe feeding b, or nil when spans are off (so
-// the probed compile entry points skip their clock reads entirely).
-func (b *spanBuf) probe(tid int) metrics.PhaseProbe {
+// phases returns the phase sink recording b's phase spans on track tid, or
+// nil when spans are off (so a phase clock with no registry either is never
+// read).
+func (b *spanBuf) phases(tid int) metrics.PhaseSink {
 	if b == nil {
 		return nil
 	}

@@ -73,7 +73,7 @@ type Heartbeat struct {
 // receiver, nil registry, or nil output yields a no-op stop.
 func (h *Heartbeat) Start() func() {
 	if h == nil || h.Reg == nil || h.Out == nil {
-		return nop
+		return func() {}
 	}
 	interval := h.Interval
 	if interval <= 0 {

@@ -30,13 +30,10 @@ import (
 	"time"
 )
 
-// Standard phase names (the histogram "phase.<name>" family). The frontend
-// phases (lex, parse, sema) run only on paths that start from MiniC source;
-// generated campaigns enter at lower.
+// Standard phase names (the histogram "phase.<name>" family): the campaign
+// stages (generate, instrument, truth) and the compile unit's back half
+// (lower, opt, codegen).
 const (
-	PhaseLex        = "lex"
-	PhaseParse      = "parse"
-	PhaseSema       = "sema"
 	PhaseGenerate   = "generate"
 	PhaseInstrument = "instrument"
 	PhaseTruth      = "truth"
@@ -184,21 +181,50 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Time starts a phase timer: it observes the elapsed wall time into the
-// "phase.<name>" histogram when the returned stop function runs. Nil-safe;
-// the nil path costs one comparison and returns a shared no-op.
-//
-//	defer reg.Time(metrics.PhaseLower)()
-func (r *Registry) Time(phase string) func() {
-	if r == nil {
-		return nop
-	}
-	h := r.Histogram("phase." + phase)
-	start := time.Now()
-	return func() { h.Observe(time.Since(start)) }
+// PhaseSink receives each phase execution's own start and duration — the
+// per-execution view the span timeline needs, where the registry's
+// "phase.<name>" histograms aggregate.
+type PhaseSink func(phase string, start time.Time, d time.Duration)
+
+// PhaseClock is the one phase timer: every timed phase feeds the registry's
+// "phase.<name>" histogram and the sink from a single duration, so the
+// aggregate and per-execution views of a phase cannot disagree. Both
+// fields are optional; with neither set the clock is never read.
+type PhaseClock struct {
+	Reg  *Registry
+	Sink PhaseSink
 }
 
-var nop = func() {}
+// Phase is one running phase execution; Stop ends it.
+type Phase struct {
+	c     PhaseClock
+	name  string
+	start time.Time
+}
+
+// Start begins timing one execution of the named phase.
+//
+//	ph := clock.Start(metrics.PhaseLower)
+//	m, err := lower.Lower(prog)
+//	ph.Stop()
+func (c PhaseClock) Start(phase string) Phase {
+	if c.Reg == nil && c.Sink == nil {
+		return Phase{}
+	}
+	return Phase{c: c, name: phase, start: time.Now()}
+}
+
+// Stop ends the phase, reporting its duration to the histogram and the sink.
+func (p Phase) Stop() {
+	if p.c.Reg == nil && p.c.Sink == nil {
+		return
+	}
+	d := time.Since(p.start)
+	p.c.Reg.Histogram("phase." + p.name).Observe(d)
+	if p.c.Sink != nil {
+		p.c.Sink(p.name, p.start, d)
+	}
+}
 
 // CounterNames returns the registered counter names, sorted.
 func (r *Registry) CounterNames() []string {

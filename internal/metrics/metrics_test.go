@@ -31,7 +31,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(time.Second)
-	r.Time("lower")() // must not panic
+	PhaseClock{Reg: r}.Start("lower").Stop() // must not panic
 	if r.Counter("x").Value() != 0 || r.Histogram("x").Count() != 0 {
 		t.Error("nil registry retained state")
 	}

@@ -173,23 +173,38 @@ func TestAbsorbOccupancyCounters(t *testing.T) {
 	}
 }
 
-// TestPhaseProbe: the nil probe records nothing and costs no clock reads
-// (Start returns the zero time); a live probe sees the phase name and a
-// non-negative duration.
-func TestPhaseProbe(t *testing.T) {
-	var p PhaseProbe
-	if !p.Start().IsZero() {
-		t.Error("nil probe Start must return the zero time")
+// TestPhaseTimer: a clock with neither registry nor sink reads no clock and
+// records nothing; a live clock feeds the histogram and the sink the same
+// duration, once per phase execution.
+func TestPhaseTimer(t *testing.T) {
+	if ph := (PhaseClock{}).Start("opt"); !ph.start.IsZero() {
+		t.Error("an unattached clock must not read the time")
 	}
-	p.Observe("opt", p.Start()) // must not panic
+	PhaseClock{}.Start("opt").Stop() // must not panic
 
+	reg := New()
 	var gotPhase string
 	var gotDur time.Duration
-	p = func(phase string, _ time.Time, d time.Duration) {
-		gotPhase, gotDur = phase, d
+	sink := func(phase string, _ time.Time, d time.Duration) { gotPhase, gotDur = phase, d }
+	ph := PhaseClock{Reg: reg, Sink: sink}.Start("lower")
+	time.Sleep(time.Millisecond)
+	ph.Stop()
+	h := reg.Histogram("phase.lower")
+	if gotPhase != "lower" || gotDur <= 0 {
+		t.Errorf("sink observed (%q, %v)", gotPhase, gotDur)
 	}
-	p.Observe("lower", p.Start())
-	if gotPhase != "lower" || gotDur < 0 {
-		t.Errorf("probe observed (%q, %v)", gotPhase, gotDur)
+	if h.Count() != 1 || h.Sum() != gotDur {
+		t.Errorf("histogram count %d sum %v, want 1 and the sink's %v", h.Count(), h.Sum(), gotDur)
+	}
+
+	// Either side alone still times the phase.
+	PhaseClock{Reg: reg}.Start("lower").Stop()
+	if h.Count() != 2 {
+		t.Errorf("registry-only clock: count = %d, want 2", h.Count())
+	}
+	gotPhase = ""
+	PhaseClock{Sink: sink}.Start("opt").Stop()
+	if gotPhase != "opt" {
+		t.Errorf("sink-only clock observed %q", gotPhase)
 	}
 }

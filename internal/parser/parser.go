@@ -13,7 +13,6 @@ import (
 
 	"dcelens/internal/ast"
 	"dcelens/internal/lexer"
-	"dcelens/internal/metrics"
 	"dcelens/internal/token"
 	"dcelens/internal/types"
 )
@@ -30,27 +29,12 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // and the first error encountered, if any; on error the program may be
 // partially populated.
 func Parse(src string) (*ast.Program, error) {
-	return ParseMetered(src, nil)
-}
-
-// ParseMetered is Parse with frontend phase timing recorded into reg: the
-// token scan observes into "phase.lex", the recursive descent into
-// "phase.parse". A nil registry records nothing (the timers are no-ops), so
-// the two entry points compile the same code path.
-func ParseMetered(src string, reg *metrics.Registry) (*ast.Program, error) {
-	stopLex := reg.Time(metrics.PhaseLex)
 	toks, lexErrs := lexer.Scan([]byte(src))
-	stopLex()
 	if len(lexErrs) > 0 {
 		return nil, lexErrs[0]
 	}
-	defer reg.Time(metrics.PhaseParse)()
 	p := &parser{toks: toks}
 	prog := &ast.Program{}
-	defer func() {
-		// Convert internal bail-outs into returned errors via the named
-		// error below; see parse() wrappers.
-	}()
 	err := p.catch(func() {
 		for p.cur().Kind != token.EOF {
 			prog.Decls = append(prog.Decls, p.decl())

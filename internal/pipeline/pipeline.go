@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"dcelens/internal/ir"
-	"dcelens/internal/metrics"
 	"dcelens/internal/opt"
 )
 
@@ -90,43 +89,16 @@ func (c *Config) Iterations() int { return c.iters }
 // natural schedule position.
 func (c *Config) Passes() []opt.Pass { return c.schedule }
 
-// Compile optimizes the module in place according to the configuration.
-func (c *Config) Compile(m *ir.Module) error {
-	return c.CompileObserved(m, nil)
-}
-
-// CompileObserved optimizes like Compile while reporting every executed
-// pass instance to obs (nil disables observation; internal/trace provides
-// the profiling/provenance observer).
+// CompileObserved optimizes the module in place according to the
+// configuration, reporting every executed pass instance to obs (nil
+// disables observation). internal/core composes the observers — the trace
+// recorder, the metrics collector, the remark collector — and times the
+// run as the opt phase.
 func (c *Config) CompileObserved(m *ir.Module, obs opt.Observer) error {
 	if err := opt.ObservedPipeline(m, c.opts, c.schedule, c.iters, obs); err != nil {
 		return fmt.Errorf("%s: %w", c.Name(), err)
 	}
 	return nil
-}
-
-// CompileMetered is CompileObserved with campaign telemetry attached: the
-// whole middle-end run is timed into reg's "phase.opt" histogram and an
-// opt.MetricsObserver is chained after obs, feeding the per-pass timing
-// and changed-rate collectors. A nil registry degrades to CompileObserved
-// exactly (opt.Observers drops the nil collector), so callers thread reg
-// unconditionally.
-func (c *Config) CompileMetered(m *ir.Module, obs opt.Observer, reg *metrics.Registry) error {
-	if reg == nil {
-		return c.CompileObserved(m, obs)
-	}
-	defer reg.Time(metrics.PhaseOpt)()
-	return c.CompileObserved(m, opt.Observers(obs, opt.MetricsObserver(reg)))
-}
-
-// CompileProbed is CompileMetered with a phase probe observing the
-// middle-end run's own wall-clock extent (the span timeline's "opt" phase
-// span). A nil probe degrades to CompileMetered exactly.
-func (c *Config) CompileProbed(m *ir.Module, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) error {
-	start := probe.Start()
-	err := c.CompileMetered(m, obs, reg)
-	probe.Observe(metrics.PhaseOpt, start)
-	return err
 }
 
 // New returns the personality at the latest version for the given level.

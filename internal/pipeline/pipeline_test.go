@@ -135,7 +135,7 @@ func TestAllConfigsCompileCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Compile(m); err != nil {
+		if err := cfg.CompileObserved(m, nil); err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
 		got, err := ir.Execute(m, ir.ExecOptions{})
@@ -163,7 +163,7 @@ func TestSeed111CompilesCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := New(p, O3).Compile(m); err != nil {
+		if err := New(p, O3).CompileObserved(m, nil); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}

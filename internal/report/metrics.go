@@ -18,9 +18,6 @@ var phaseOrder = []string{
 	metrics.PhaseGenerate,
 	metrics.PhaseInstrument,
 	metrics.PhaseTruth,
-	metrics.PhaseLex,
-	metrics.PhaseParse,
-	metrics.PhaseSema,
 	metrics.PhaseLower,
 	metrics.PhaseOpt,
 	metrics.PhaseCodegen,

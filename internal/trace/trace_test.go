@@ -21,11 +21,11 @@ func tracedCompile(t *testing.T, seed int64, p pipeline.Personality, lvl pipelin
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, prof, err := core.CompileTraced(ins, pipeline.New(p, lvl))
+	comp, err := core.Compile(ins, pipeline.New(p, lvl), core.Instr{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ins, truth, comp, prof
+	return ins, truth, comp, comp.Trace
 }
 
 // TestRecorderAttributesEveryElimination checks the provenance invariant:

@@ -6,10 +6,15 @@
 package dcelens
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"dcelens/internal/metrics"
+	"dcelens/internal/span"
 )
 
 // runTraced runs one campaign variant with a deterministic file-backed span
@@ -88,5 +93,54 @@ func TestDeterministicTraceByteIdentity(t *testing.T) {
 	})
 	if resumed != baseline {
 		t.Errorf("halted+resumed trace differs from uninterrupted run:\n--- baseline\n%s\n--- resumed\n%s", baseline, resumed)
+	}
+}
+
+// TestPhaseViewsAgree: the phase histograms and the phase spans come from
+// one clock, so they describe the same executions and the same durations.
+// Per phase, the histogram counts exactly the recorded spans, and its sum
+// exceeds the spans' total only by the sub-microsecond remainders the span
+// rendering truncates (at most 1µs per span).
+func TestPhaseViewsAgree(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewSpanRecorder(&buf)
+	reg := NewMetrics()
+	if _, err := RunCampaign(CampaignOptions{
+		Programs: 3, BaseSeed: 40, Workers: 2, Metrics: reg, Spans: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := span.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int64{}
+	total := map[string]time.Duration{}
+	for _, e := range tr.Events {
+		if e.Cat == span.CatPhase {
+			count[e.Name]++
+			total[e.Name] += time.Duration(e.Dur) * time.Microsecond
+		}
+	}
+	phases := []string{
+		metrics.PhaseGenerate, metrics.PhaseInstrument, metrics.PhaseTruth,
+		metrics.PhaseLower, metrics.PhaseOpt, metrics.PhaseCodegen,
+	}
+	for _, ph := range phases {
+		h := reg.Histogram("phase." + ph)
+		if h.Count() == 0 || h.Count() != count[ph] {
+			t.Errorf("phase %s: histogram count %d, %d spans", ph, h.Count(), count[ph])
+			continue
+		}
+		if gap := h.Sum() - total[ph]; gap < 0 || gap >= time.Duration(h.Count())*time.Microsecond {
+			t.Errorf("phase %s: histogram sum %v vs span total %v (gap %v over %d spans)",
+				ph, h.Sum(), total[ph], gap, h.Count())
+		}
+	}
+	if len(count) != len(phases) {
+		t.Errorf("span phases %v, want exactly %v", count, phases)
 	}
 }

@@ -9,9 +9,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dcelens/internal/bisect"
 	"dcelens/internal/corpus"
+	"dcelens/internal/ir"
+	"dcelens/internal/metrics"
+	"dcelens/internal/opt"
 	"dcelens/internal/pipeline"
 	"dcelens/internal/report"
 	"dcelens/internal/trace"
@@ -52,10 +56,10 @@ func TestTraceAttributionRate(t *testing.T) {
 		eliminated, attributed, pipelineAttributed := 0, 0, 0
 		for _, r := range c.Programs {
 			an := r.PerCfg[corpus.ConfigKey{Personality: p, Level: pipeline.O3}]
-			if an.Trace == nil {
-				t.Fatalf("%s seed %d: campaign ran with Trace but Analysis.Trace is nil", p, r.Seed)
+			if an.Compilation.Trace == nil {
+				t.Fatalf("%s seed %d: campaign ran with Trace but Compilation.Trace is nil", p, r.Seed)
 			}
-			prov := an.Trace.Provenance()
+			prov := an.Compilation.Trace.Provenance()
 			for _, m := range an.Compilation.Eliminated(r.Truth) {
 				eliminated++
 				ref, ok := prov.KillerOf(m)
@@ -103,8 +107,8 @@ func TestTraceDeterminism(t *testing.T) {
 			sb.WriteString(report.AttributionTable(string(p), rows))
 			for _, r := range c.Programs {
 				an := r.PerCfg[corpus.ConfigKey{Personality: p, Level: pipeline.O3}]
-				sb.WriteString(report.ProvenanceTable(an.Trace.Provenance()))
-				sb.WriteString(report.PassProfileTable(an.Trace, false))
+				sb.WriteString(report.ProvenanceTable(an.Compilation.Trace.Provenance()))
+				sb.WriteString(report.PassProfileTable(an.Compilation.Trace, false))
 			}
 		}
 		return c, sb.String()
@@ -171,33 +175,85 @@ func TestTraceCrossValidatesBisection(t *testing.T) {
 	}
 }
 
-// TestTraceCompilationConsistency: the traced compilation must produce the
-// same surviving-marker verdicts as the untraced one (tracing observes,
-// never perturbs).
+// passCounter is an extra pipeline observer that only counts pass
+// instances.
+type passCounter int
+
+func (c *passCounter) BeginPipeline(*ir.Module) {}
+
+func (c *passCounter) AfterPass(*ir.Module, string, int, int, opt.PassStats) { *c++ }
+
+// TestTraceCompilationConsistency: instrumentation observes, never perturbs.
+// Every Instr variant — the trace recorder, the remark collector, metrics
+// plus a phase sink, and all of them together with an extra observer —
+// must emit assembly byte-identical to the uninstrumented compilation, for
+// every configuration, and each variant's own profile must be populated.
 func TestTraceCompilationConsistency(t *testing.T) {
-	ins, err := Instrument(Generate(5))
-	if err != nil {
-		t.Fatal(err)
+	variants := []struct {
+		name  string
+		instr func(reg *metrics.Registry, sink metrics.PhaseSink, obs opt.Observer) Instr
+	}{
+		{"trace", func(*metrics.Registry, metrics.PhaseSink, opt.Observer) Instr { return Instr{Trace: true} }},
+		{"remarks", func(*metrics.Registry, metrics.PhaseSink, opt.Observer) Instr { return Instr{Remarks: true} }},
+		{"metrics+phases", func(reg *metrics.Registry, sink metrics.PhaseSink, _ opt.Observer) Instr {
+			return Instr{Metrics: reg, Phases: sink}
+		}},
+		{"all", func(reg *metrics.Registry, sink metrics.PhaseSink, obs opt.Observer) Instr {
+			return Instr{Observer: obs, Metrics: reg, Phases: sink, Trace: true, Remarks: true}
+		}},
 	}
-	for _, cfg := range []*Compiler{GCC(O3), LLVM(O3), GCC(O1), LLVM(O1)} {
-		plain, err := Compile(ins, cfg)
+	for _, seed := range []int64{5, 42, 300} {
+		ins, err := Instrument(Generate(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, prof, err := CompileTraced(ins, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain.Alive) != len(traced.Alive) {
-			t.Fatalf("%s: alive sets differ: %d vs %d", cfg.Name(), len(plain.Alive), len(traced.Alive))
-		}
-		for m := range plain.Alive {
-			if !traced.Alive[m] {
-				t.Fatalf("%s: %s alive untraced but eliminated traced", cfg.Name(), m)
+		for _, p := range []pipeline.Personality{PersonalityGCC, PersonalityLLVM} {
+			for _, lvl := range pipeline.Levels {
+				cfg := pipeline.New(p, lvl)
+				plain, err := Compile(ins, cfg, Instr{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain.Trace != nil || plain.Remarks != nil {
+					t.Fatalf("%s: the zero Instr attached a profile", cfg.Name())
+				}
+				for _, v := range variants {
+					t.Run(fmt.Sprintf("seed%d/%s%s/%s", seed, p, lvl, v.name), func(t *testing.T) {
+						reg := metrics.New()
+						var phases []string
+						sink := func(phase string, _ time.Time, _ time.Duration) { phases = append(phases, phase) }
+						var passes passCounter
+						in := v.instr(reg, sink, &passes)
+						comp, err := Compile(ins, cfg, in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if comp.Asm != plain.Asm {
+							t.Fatalf("%s: assembly differs from the uninstrumented compilation", cfg.Name())
+						}
+						if in.Trace && (comp.Trace == nil || len(comp.Trace.Passes) == 0) {
+							t.Errorf("traced compilation recorded no passes")
+						}
+						if in.Remarks && comp.Remarks == nil {
+							t.Errorf("remarked compilation has no remark profile")
+						}
+						if in.Phases != nil {
+							want := []string{metrics.PhaseLower, metrics.PhaseOpt, metrics.PhaseCodegen}
+							if strings.Join(phases, ",") != strings.Join(want, ",") {
+								t.Errorf("phase sink saw %v, want %v", phases, want)
+							}
+							for _, ph := range want {
+								if n := reg.Histogram("phase." + ph).Count(); n != 1 {
+									t.Errorf("phase.%s count = %d, want 1", ph, n)
+								}
+							}
+						}
+						if in.Observer != nil && passes == 0 {
+							t.Errorf("extra observer saw no pass instances")
+						}
+					})
+				}
 			}
-		}
-		if len(prof.Passes) == 0 {
-			t.Fatalf("%s: traced compilation recorded no passes", cfg.Name())
 		}
 	}
 }
