@@ -634,7 +634,7 @@ func ablationMissedCountAny(b testing.TB, o opt.Options, passes []opt.Pass, n in
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := opt.Pipeline(m, o, passes, 2); err != nil {
+		if err := opt.ObservedPipeline(m, o, passes, 2, nil); err != nil {
 			b.Fatal(err)
 		}
 		alive := map[string]bool{}
@@ -847,7 +847,7 @@ func BenchmarkPass(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := opt.Pipeline(m, o, passes[:idx], 1); err != nil {
+				if err := opt.ObservedPipeline(m, o, passes[:idx], 1, nil); err != nil {
 					b.Fatal(err)
 				}
 				// Collect the set-up's garbage first, so the pass does not pay
@@ -856,7 +856,7 @@ func BenchmarkPass(b *testing.B) {
 				runtime.ReadMemStats(&ms)
 				mallocs, alloced := ms.Mallocs, ms.TotalAlloc
 				start := time.Now()
-				err = opt.Pipeline(m, o, passes[idx:idx+1], 1)
+				err = opt.ObservedPipeline(m, o, passes[idx:idx+1], 1, nil)
 				elapsed += time.Since(start)
 				runtime.ReadMemStats(&ms)
 				allocs += ms.Mallocs - mallocs

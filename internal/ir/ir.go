@@ -143,11 +143,11 @@ type Func struct {
 	nextBlockID int
 	nextValueID int
 
-	// gen counts observable mutations of the body. The pass manager bumps
-	// it whenever a pass reports changing the function and uses it to skip
-	// re-running passes over functions nothing changed; passes that mutate
-	// a body without reporting it through their changed flag (cleanup
-	// helpers whose result is discarded) call MarkMutated directly.
+	// gen counts body mutations a pass makes without reporting them
+	// through its changed flag (cleanup helpers whose result is discarded,
+	// canonicalizing swaps): such passes call MarkMutated. The pass
+	// manager skips a pass instance only while the module is unchanged,
+	// and a moved gen is how it learns of an unreported change.
 	gen uint64
 }
 

@@ -20,9 +20,11 @@ const (
 	CounterInfeasible    = "campaign.failures.infeasible"
 )
 
-// Middle-end dirty-tracking counters. The metrics pass observer adds every
-// pass instance's visited/skipped function counts here; their ratio is the
-// campaign-wide pass skip rate surfaced by the heartbeat and /progress.
+// Middle-end skip counters. The metrics pass observer adds every pass
+// instance's visited/skipped function counts here (an executed instance
+// visits every defined function, a skipped one skips every one); their
+// ratio is the campaign-wide pass skip rate surfaced by the heartbeat and
+// /progress.
 const (
 	CounterPassVisited = "opt.funcs.visited"
 	CounterPassSkipped = "opt.funcs.skipped"
@@ -140,9 +142,10 @@ func (h *Heartbeat) line(start time.Time) string {
 }
 
 // PassSkipRate computes the campaign-wide middle-end skip rate: the fraction
-// of (function, pass-instance) visits the dirty-tracking pass manager proved
-// clean and skipped. ok is false before any pass has run (or with no
-// registry), so displays can omit the figure rather than print a bogus zero.
+// of (function, pass-instance) visits that fell in pass instances the pass
+// manager skipped because the module had not changed since the same pass
+// last ran. ok is false before any pass has run (or with no registry), so
+// displays can omit the figure rather than print a bogus zero.
 func PassSkipRate(reg *Registry) (rate float64, ok bool) {
 	if reg == nil {
 		return 0, false

@@ -239,7 +239,8 @@ type ProgressReply struct {
 	Units       int64   `json:"units"`
 	UnitsPerSec float64 `json:"units_per_sec"`
 	// PassSkipRate is the fraction of (function, pass-instance) visits the
-	// dirty-tracking pass manager skipped as provably clean.
+	// pass manager skipped, whole instances at a time, because the module
+	// had not changed since the same pass last ran.
 	PassSkipRate  float64 `json:"pass_skip_rate"`
 	PassSkipKnown bool    `json:"pass_skip_known"`
 

@@ -11,10 +11,8 @@ import (
 // setup: calls to bodyless marker functions cannot clobber a static global
 // whose address never escapes, so constant propagation may look straight
 // through them.
-var Escape = Pass{Name: "escape", Run: func(m *ir.Module, o Options, inv *Invalidation) bool {
-	if ComputeEscapesOpt(m, o) {
-		inv.Facts()
-	}
+var Escape = Pass{Name: "escape", Run: func(m *ir.Module, o Options) bool {
+	ComputeEscapesOpt(m, o)
 	if o.RemarksOn() {
 		// Record the analysis verdicts the transforming passes act on: an
 		// escaping global is the single most common root cause of a
@@ -31,41 +29,23 @@ var Escape = Pass{Name: "escape", Run: func(m *ir.Module, o Options, inv *Invali
 	return false // analysis only
 }}
 
-// ComputeEscapesOpt honours the PessimisticEscape ablation knob. It reports
-// whether any global's flags changed — the signal the pass manager uses to
-// re-visit otherwise-clean functions in passes that consume the facts.
-func ComputeEscapesOpt(m *ir.Module, o Options) bool {
+// ComputeEscapesOpt is ComputeEscapes honouring the PessimisticEscape
+// ablation knob.
+func ComputeEscapesOpt(m *ir.Module, o Options) {
 	if o.PessimisticEscape {
-		changed := false
 		for _, g := range m.Globals {
-			if !g.Escapes || !g.AddrExposed {
-				changed = true
-			}
 			g.Escapes = true
 			g.AddrExposed = true
 		}
-		return changed
+		return
 	}
-	return ComputeEscapes(m)
+	ComputeEscapes(m)
 }
 
-// ComputeEscapes (re)computes Global.Escapes and Global.AddrExposed,
-// reporting whether any flag changed.
-func ComputeEscapes(m *ir.Module) bool {
-	old := make([]bool, 0, 2*len(m.Globals))
-	for _, g := range m.Globals {
-		old = append(old, g.Escapes, g.AddrExposed)
-	}
-	computeEscapes(m)
-	for i, g := range m.Globals {
-		if g.Escapes != old[2*i] || g.AddrExposed != old[2*i+1] {
-			return true
-		}
-	}
-	return false
-}
-
-func computeEscapes(m *ir.Module) {
+// ComputeEscapes (re)computes Global.Escapes and Global.AddrExposed from
+// scratch: every flag is reset first, so the result is a function of the
+// module alone.
+func ComputeEscapes(m *ir.Module) {
 	// Step 1: per-function parameter escape summaries, to a fixpoint: does
 	// the value passed for parameter i escape to external code (stored to
 	// memory, passed to an external call, returned, or passed to an

@@ -15,9 +15,7 @@ import (
 // "unused" global is still observable state.
 var GlobalDCE = Pass{Name: "globaldce", Run: globalDCE}
 
-// globalDCE only removes whole functions; surviving bodies are untouched,
-// so it reports no per-function invalidations.
-func globalDCE(m *ir.Module, o Options, inv *Invalidation) bool {
+func globalDCE(m *ir.Module, o Options) bool {
 	live := map[*ir.Func]bool{}
 	var mark func(f *ir.Func)
 	mark = func(f *ir.Func) {

@@ -20,13 +20,12 @@ import (
 var GVN = Pass{Name: "gvn", Pre: ComputeEscapesOpt, Fn: gvnFunc, Post: gvnForward}
 
 // gvnForward is GVN's module-scoped epilogue: cross-function single-store
-// forwarding after the per-function sweep. Functions it strips loads from
-// are reported through inv so dirty tracking stays exact.
-func gvnForward(m *ir.Module, o Options, inv *Invalidation) bool {
+// forwarding after the per-function sweep.
+func gvnForward(m *ir.Module, o Options) bool {
 	if !o.LoadForwarding {
 		return false
 	}
-	return singleStoreForward(m, o, inv)
+	return singleStoreForward(m, o)
 }
 
 // singleStoreForward is the cross-block forwarding rule: for a non-exposed
@@ -36,7 +35,7 @@ func gvnForward(m *ir.Module, o Options, inv *Invalidation) bool {
 // regardless of loops or intervening calls. This models the part of
 // GVN/FRE both real compilers get right that the block-local pass above
 // would miss.
-func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
+func singleStoreForward(m *ir.Module, o Options) bool {
 	changed := false
 	ai := buildAccessIndex(m)
 	for _, g := range m.Globals {
@@ -102,7 +101,6 @@ func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 			}
 			ir.ReplaceAllUses(l, v)
 			l.Remove()
-			inv.Func(l.Block.Func)
 			changed = true
 			forwarded = true
 			if o.RemarksOn() {

@@ -13,7 +13,7 @@ import (
 // paper's bisected regressions live in inlining heuristics (Table 4).
 var Inline = Pass{Name: "inline", Run: inline}
 
-func inline(m *ir.Module, o Options, inv *Invalidation) bool {
+func inline(m *ir.Module, o Options) bool {
 	if o.InlineBudget <= 0 {
 		return false
 	}
@@ -44,9 +44,6 @@ func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 			if o.RemarksOn() {
 				o.applied(caller, "call "+call.Callee.Name, "inlined the callee body at the call site")
 			}
-			// Splicing mutates only the caller; callee bodies are read,
-			// never written, so callers are the precise invalidation set.
-			inv.Func(caller)
 		}
 	}
 	return changed

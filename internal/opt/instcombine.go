@@ -143,9 +143,12 @@ func combineBin(in *ir.Instr, o Options) *ir.Instr {
 		}
 	}
 
-	// Canonicalize commutative operations: constant on the right.
+	// Canonicalize commutative operations: constant on the right. The
+	// swap is not a reported change, but it is a body mutation the pass
+	// manager must see.
 	if xIsC && !yIsC && isCommutative(in.BinOp) {
 		in.Args[0], in.Args[1] = y, x
+		in.Block.Func.MarkMutated()
 		x, y = in.Args[0], in.Args[1]
 		xc, xIsC, yc, yIsC = yc, yIsC, xc, xIsC
 	}

@@ -30,13 +30,11 @@ import (
 // 9f: `b[a]` where b = {0, 0}).
 var IPSCCP = Pass{Name: "ipsccp", Run: ipsccp}
 
-func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
+func ipsccp(m *ir.Module, o Options) bool {
 	if o.GlobalProp == GlobalPropNone {
 		return false
 	}
-	if ComputeEscapesOpt(m, o) {
-		inv.Facts()
-	}
+	ComputeEscapesOpt(m, o)
 	ai := buildAccessIndex(m)
 	changed := false
 	for _, g := range m.Globals {
@@ -51,11 +49,11 @@ func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 			continue
 		}
 		if g.Len == 1 {
-			if propagateScalar(m, g, o, ai, inv) {
+			if propagateScalar(m, g, o, ai) {
 				changed = true
 			}
 		} else if o.ConstArrayLoadFold {
-			if propagateConstArray(m, g, ai, inv) {
+			if propagateConstArray(g, ai) {
 				changed = true
 				if o.RemarksOn() {
 					o.appliedModule("global "+g.Name, "folded loads from the constant array")
@@ -219,7 +217,7 @@ func initConst(g *ir.Global, idx int) (int64, bool) {
 	return 0, true // zero-initialized tail
 }
 
-func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex, inv *Invalidation) bool {
+func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex) bool {
 	if g.Elem.Kind == types.Pointer {
 		// Address-constant propagation for pointer globals requires the
 		// stronger analysis tiers: GCC's flow-insensitive global value
@@ -234,7 +232,7 @@ func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex, inv
 			}
 			return false
 		}
-		if propagatePointerGlobal(m, g, ai, inv) {
+		if propagatePointerGlobal(g, ai) {
 			if o.RemarksOn() {
 				o.appliedModule("global "+g.Name, "folded loads of the never-stored pointer global to its address constant")
 			}
@@ -299,12 +297,10 @@ func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex, inv
 		l.Block.InsertBefore(c, l)
 		ir.ReplaceAllUses(l, c)
 		l.Remove()
-		inv.Func(l.Block.Func)
 	}
 	if deleteStores {
 		for _, s := range stores {
 			s.Remove()
-			inv.Func(s.Block.Func)
 		}
 		if o.RemarksOn() {
 			o.appliedModule("global "+g.Name,
@@ -395,7 +391,7 @@ func mainIsCalled(m *ir.Module) bool {
 // global to its initializer's address constant (GlobalOpt does the same).
 // The materialized &g+off values are what the pointer-comparison folders
 // (and their precision knobs, paper Listing 3) subsequently act on.
-func propagatePointerGlobal(m *ir.Module, g *ir.Global, ai *accessIndex, inv *Invalidation) bool {
+func propagatePointerGlobal(g *ir.Global, ai *accessIndex) bool {
 	loads, stores, ok := ai.accesses(g, false)
 	if !ok || len(stores) > 0 || len(loads) == 0 {
 		return false
@@ -431,7 +427,6 @@ func propagatePointerGlobal(m *ir.Module, g *ir.Global, ai *accessIndex, inv *In
 		}
 		ir.ReplaceAllUses(l, repl)
 		l.Remove()
-		inv.Func(l.Block.Func)
 	}
 	return true
 }
@@ -440,7 +435,7 @@ func propagatePointerGlobal(m *ir.Module, g *ir.Global, ai *accessIndex, inv *In
 // initialized elements are all the same constant (with the
 // zero-initialized tail, that means: all inits equal, and equal to 0 if
 // the initializer does not cover the whole array).
-func propagateConstArray(m *ir.Module, g *ir.Global, ai *accessIndex, inv *Invalidation) bool {
+func propagateConstArray(g *ir.Global, ai *accessIndex) bool {
 	if g.Elem.Kind == types.Pointer {
 		return false
 	}
@@ -469,7 +464,6 @@ func propagateConstArray(m *ir.Module, g *ir.Global, ai *accessIndex, inv *Inval
 		l.Block.InsertBefore(c, l)
 		ir.ReplaceAllUses(l, c)
 		l.Remove()
-		inv.Func(l.Block.Func)
 	}
 	return true
 }

@@ -16,7 +16,7 @@ var LICM = Pass{Name: "licm", Pre: ComputeEscapesOpt, Fn: licmFunc}
 func licmFunc(f *ir.Func, o Options) bool {
 	changed := false
 	if removeUnreachable(f) { // preheader creation assumes reachable preds
-		f.MarkMutated() // unreported mutation; dirty tracking must see it
+		f.MarkMutated() // unreported mutation; the pass manager must see it
 	}
 	dt := ir.Dominators(f)
 	loops := ir.NaturalLoops(f, dt)

@@ -22,7 +22,7 @@ import (
 // observable.
 var LocalizeGlobals = Pass{Name: "localize-globals", Run: localizeGlobals}
 
-func localizeGlobals(m *ir.Module, o Options, inv *Invalidation) bool {
+func localizeGlobals(m *ir.Module, o Options) bool {
 	if !o.GlobalLocalize {
 		return false
 	}
@@ -30,9 +30,7 @@ func localizeGlobals(m *ir.Module, o Options, inv *Invalidation) bool {
 	if mainFn == nil || mainFn.External || mainIsCalled(m) {
 		return false
 	}
-	if ComputeEscapesOpt(m, o) {
-		inv.Facts()
-	}
+	ComputeEscapesOpt(m, o)
 	changed := false
 	for _, g := range m.Globals {
 		if g.Escapes || g.AddrExposed || g.Len != 1 {
@@ -40,7 +38,6 @@ func localizeGlobals(m *ir.Module, o Options, inv *Invalidation) bool {
 		}
 		if localizeOne(m, g, mainFn) {
 			changed = true
-			inv.Func(mainFn) // demotion rewrites only main's body
 		}
 	}
 	return changed

@@ -278,7 +278,7 @@ int main(void) {
 	// second iteration would re-run mem2reg and heal the laundered slot).
 	m2 := buildIR(t, src)
 	o.AggressiveUnswitch = true
-	if err := Pipeline(m2, o, []Pass{Mem2Reg, Unswitch, IPSCCP, SCCP, InstCombine, SimplifyCFG, DCE}, 1); err != nil {
+	if err := ObservedPipeline(m2, o, []Pass{Mem2Reg, Unswitch, IPSCCP, SCCP, InstCombine, SimplifyCFG, DCE}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !markerSurvives(m2, "DCEMarker0") {
@@ -289,7 +289,7 @@ int main(void) {
 	// condition is already constant, the unswitcher skips it (constant
 	// branches are SimplifyCFG's job), and no freeze is ever inserted.
 	m3 := buildIR(t, src)
-	if err := Pipeline(m3, o, []Pass{Mem2Reg, IPSCCP, SCCP, InstCombine, SimplifyCFG, Unswitch, SCCP, SimplifyCFG, DCE}, 1); err != nil {
+	if err := ObservedPipeline(m3, o, []Pass{Mem2Reg, IPSCCP, SCCP, InstCombine, SimplifyCFG, Unswitch, SCCP, SimplifyCFG, DCE}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if markerSurvives(m3, "DCEMarker0") {

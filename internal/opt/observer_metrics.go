@@ -45,8 +45,8 @@ func (o *metricsObserver) BeginPipeline(m *ir.Module) {
 	o.reg.Counter("pipeline.runs").Inc()
 }
 
-// AfterPass records the instance's wall time, changed flag, and the dirty
-// tracker's visited/skipped split (the campaign-wide skip rate backing the
+// AfterPass records the instance's wall time, changed flag, and its
+// visited/skipped function counts (the campaign-wide skip rate backing the
 // /progress endpoint).
 func (o *metricsObserver) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st PassStats) {
 	h := o.hists[pass]

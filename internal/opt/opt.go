@@ -3,15 +3,15 @@
 //
 // Most passes are function-scoped: a pure function of one body plus
 // module-level facts. Interprocedural passes declare themselves
-// module-scoped and report which functions they changed. The pass manager
-// (ObservedPipeline) exploits the split with per-function dirty tracking:
-// a pass instance re-visits a function only when something changed it since
-// the same pass last saw it, so clean functions are never re-scanned. The
-// two personalities (gcc-sim, llvm-sim) differ only in which passes run, in
-// what order, and with which Options knobs — exactly the axes along which
-// the paper's bisected regressions vary (pass management, analysis
-// precision, pass interactions). See internal/pipeline for the pass
-// schedules and DESIGN.md for the mapping from knobs to paper findings.
+// module-scoped. The pass manager (ObservedPipeline) keeps one module
+// generation and skips a pass instance when the module has not changed
+// since the same pass's previous instance started: rerunning it would
+// reproduce that instance's no-change outcome. The two personalities
+// (gcc-sim, llvm-sim) differ only in which passes run, in what order, and
+// with which Options knobs — exactly the axes along which the paper's
+// bisected regressions vary (pass management, analysis precision, pass
+// interactions). See internal/pipeline for the pass schedules and
+// DESIGN.md for the mapping from knobs to paper findings.
 package opt
 
 import (
@@ -118,9 +118,9 @@ type Options struct {
 	PessimisticEscape bool
 
 	// VerifyEachPass runs the SSA verifier after every pass instead of
-	// once per Pipeline call — what an assertions-enabled compiler build
-	// does. Tests enable it; production-style campaigns rely on the final
-	// verification plus the semantic execution checks.
+	// once per ObservedPipeline call — what an assertions-enabled compiler
+	// build does. Tests enable it; production-style campaigns rely on the
+	// final verification plus the semantic execution checks.
 	VerifyEachPass bool
 
 	// remarks carries the remark sink and the executing pass instance's
@@ -132,89 +132,70 @@ type Options struct {
 	remarks *remarkCtx
 }
 
-// Invalidation is how a module-scoped pass tells the pass manager which
-// functions it changed, so dirty tracking stays exact across
-// interprocedural transforms. Inline reports the callers it spliced into,
-// localization reports main, pure removals (GlobalDCE) report nothing.
-type Invalidation struct {
-	funcs []*ir.Func
-	all   bool
-	facts bool
-}
-
-// Func marks one function as changed by the pass.
-func (inv *Invalidation) Func(f *ir.Func) {
-	if f != nil {
-		inv.funcs = append(inv.funcs, f)
-	}
-}
-
-// All conservatively marks every function as changed.
-func (inv *Invalidation) All() { inv.all = true }
-
-// Facts records that module-level analysis facts (the escape flags on
-// globals) changed, so passes that consume them must re-visit even bodies
-// that did not change.
-func (inv *Invalidation) Facts() { inv.facts = true }
-
 // Pass is one transformation or analysis. Exactly one of Fn (function
 // scope) or Run (module scope) is set.
 type Pass struct {
 	Name string
 
 	// Fn is the function-scoped entry point; the pass manager sweeps it
-	// over the defined functions that changed since this pass last saw
-	// them.
+	// over every defined function. A mutation Fn does not report through
+	// its result must be flagged with ir.Func.MarkMutated, or the manager
+	// may skip a later instance that would have seen it.
 	Fn func(f *ir.Func, o Options) bool
 
 	// Pre runs once per instance of a function-scoped pass, before the
 	// sweep — module-level analyses the sweep consumes (escape
-	// recomputation). It returns true when the facts it maintains changed,
-	// which forces the sweep to re-visit every function. The manager skips
-	// Pre itself when nothing in the module changed since it last ran.
-	Pre func(m *ir.Module, o Options) bool
+	// recomputation). Skipping an instance skips its Pre too, which is
+	// sound only because the facts Pre maintains are a function of the
+	// module: every reader of Global.Escapes/AddrExposed (dse, gvn and
+	// licm through Pre; ipsccp, localize-globals and escape at entry)
+	// recomputes them from scratch before reading, and the recomputation
+	// resets every flag first. A fact that outlived the module state it
+	// was computed from would make skipping unsound.
+	Pre func(m *ir.Module, o Options)
 
 	// Post runs after the sweep of a function-scoped pass — module-level
-	// epilogues (GVN's cross-function store-to-load forwarding). Changed
-	// functions are reported through inv.
-	Post func(m *ir.Module, o Options, inv *Invalidation) bool
+	// epilogues (GVN's cross-function store-to-load forwarding). It
+	// reports whether it changed the module.
+	Post func(m *ir.Module, o Options) bool
 
-	// Run is the module-scoped entry point for interprocedural passes.
-	// Changed functions are reported through inv; the manager skips the
-	// whole pass when nothing in the module changed since its last run.
-	Run func(m *ir.Module, o Options, inv *Invalidation) bool
+	// Run is the module-scoped entry point for interprocedural passes. It
+	// reports whether it changed the module.
+	Run func(m *ir.Module, o Options) bool
 }
 
-// PassStats describes one executed pass instance to an Observer: the
-// changed flag and wall time as before, plus the dirty-tracking outcome —
-// how many defined functions the instance actually visited and how many it
-// skipped as provably clean.
+// PassStats describes one pass instance to an Observer: the changed flag,
+// the wall time, and whether the pass manager ran or skipped it, counted
+// in defined functions. An instance either visits every defined function
+// or skips every one, so exactly one of the two counts is non-zero (both
+// are zero on a module without bodies).
 type PassStats struct {
 	Changed  bool
 	Duration time.Duration
-	// FuncsVisited counts defined functions the pass scanned; a
-	// module-scoped pass visits all of them or (when skipped) none.
+	// FuncsVisited is the number of defined functions when the instance
+	// ran, zero when it was skipped.
 	FuncsVisited int
-	// FuncsSkipped counts defined functions skipped as unchanged since the
-	// pass last saw them.
+	// FuncsSkipped is the number of defined functions when the instance
+	// was skipped, zero when it ran.
 	FuncsSkipped int
 }
 
-// Observer watches pass execution inside a Pipeline run. A nil observer
-// disables observation at the cost of one pointer comparison per pass, so
-// untraced compilations are indistinguishable from the pre-observer
-// pipeline. internal/trace provides the standard implementation (per-pass
-// profiles and marker provenance); the interface lives here, argument-only,
-// so that trace can satisfy it without opt importing trace.
+// Observer watches pass execution inside an ObservedPipeline run. A nil
+// observer disables observation at the cost of one pointer comparison per
+// pass, so untraced compilations are indistinguishable from the
+// pre-observer pipeline. internal/trace provides the standard
+// implementation (per-pass profiles and marker provenance); the interface
+// lives here, argument-only, so that trace can satisfy it without opt
+// importing trace.
 type Observer interface {
 	// BeginPipeline sees the module before the first pass runs.
 	BeginPipeline(m *ir.Module)
-	// AfterPass sees the module after each executed pass instance:
-	// the pass name, its position in the schedule, the iteration of the
-	// fixpoint loop, and the instance's stats (changed flag, wall time,
-	// visited/skipped function counts). Skipped instances still report,
-	// with zero visited functions — the schedule shape an observer sees is
-	// independent of dirty tracking.
+	// AfterPass sees the module after each pass instance: the pass name,
+	// its position in the schedule, the iteration of the fixpoint loop,
+	// and the instance's stats (changed flag, wall time, visited/skipped
+	// function counts). Skipped instances still report, with zero visited
+	// functions — the schedule shape an observer sees is independent of
+	// skipping.
 	AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st PassStats)
 }
 
@@ -292,60 +273,37 @@ func Observers(obs ...Observer) Observer {
 	return out
 }
 
-// Pipeline runs passes in order until a fixpoint or maxIters repetitions of
-// the whole schedule, whichever comes first. Real pass managers run fixed
-// schedules; iterating the schedule a couple of times approximates the
-// repeated pass groups (e.g. instcombine/simplifycfg interleavings) that
-// production pipelines contain.
-func Pipeline(m *ir.Module, o Options, passes []Pass, maxIters int) error {
-	return ObservedPipeline(m, o, passes, maxIters, nil)
-}
+// skipUnchanged turns instance skipping on. Tests turn it off to check
+// that skipping never changes the pipeline's result.
+var skipUnchanged = true
 
-// pipeState is the dirty-tracking bookkeeping of one ObservedPipeline call.
+// pipeState is the skip bookkeeping of one ObservedPipeline call.
 //
-// Soundness of every skip rests on one property: a pass is a deterministic
-// function of (the function body, the module-level facts it refreshes
-// itself, Options), and no function-scoped pass reads another function's
-// body. So a (pass, function) visit whose inputs are unchanged since the
-// pass last visited reproduces its previous no-change outcome, and
-// skipping it preserves the final IR, the changed flags, and the iteration
-// count bit-for-bit.
+// Soundness of every skip rests on one property: a pass instance is a
+// deterministic function of the module and Options. The generation moves
+// whenever an instance reports a change or flags an unreported body
+// mutation (ir.Func.MarkMutated). So while it has not moved since the
+// previous instance of the same pass started, the module is the one that
+// instance ran on, and that instance reported no change — else the
+// generation would have moved. Rerunning the pass would reproduce that
+// outcome, so skipping it preserves the final IR, the changed flags, and
+// the iteration count bit-for-bit.
 type pipeState struct {
 	// pid maps schedule positions to dense pass identities (by name):
 	// instances of the same pass at different schedule positions share
-	// dirty-tracking state, so the second instcombine of a schedule skips
-	// functions the first one already left clean.
-	pid  []int
-	nIDs int
-
-	// seen[f][id] holds 1 + the generation f had when pass id last started
-	// a visit of f; 0 means never visited. The pass re-visits whenever the
-	// current generation differs — including changes the pass itself made,
-	// so one-transform-per-invocation passes (unroll, unswitch) keep
-	// getting re-invoked until they settle.
-	seen map[*ir.Func][]uint64
-
-	// moduleGen counts module-state changes (any function generation bump,
-	// any module-pass-reported change). lastRun/lastPre record it per pass
-	// identity: a module pass or a Pre hook re-runs only when the module
-	// changed since it last did.
-	moduleGen uint64
-	lastRun   []uint64
-	lastPre   []uint64
-
-	// factsGen counts changes to the module-level analysis facts (escape
-	// flags); lastFacts records, per pass identity, the facts generation a
-	// fact-consuming pass last swept under. A stale value forces the sweep
-	// to re-visit every function even if no body changed.
-	factsGen  uint64
-	lastFacts []uint64
+	// skip state, so a second instcombine right after an unchanged first
+	// one is skipped.
+	pid []int
+	// gen is the module generation; it starts at 1 so that a zero in last
+	// means "never ran".
+	gen uint64
+	// last holds, per pass identity, the generation at which its latest
+	// executed instance started.
+	last []uint64
 }
 
 func newPipeState(passes []Pass) *pipeState {
-	ps := &pipeState{
-		pid:  make([]int, len(passes)),
-		seen: make(map[*ir.Func][]uint64),
-	}
+	ps := &pipeState{pid: make([]int, len(passes)), gen: 1}
 	ids := make(map[string]int, len(passes))
 	for i, p := range passes {
 		id, ok := ids[p.Name]
@@ -355,114 +313,59 @@ func newPipeState(passes []Pass) *pipeState {
 		}
 		ps.pid[i] = id
 	}
-	ps.nIDs = len(ids)
-	ps.lastRun = make([]uint64, ps.nIDs)
-	ps.lastPre = make([]uint64, ps.nIDs)
-	ps.lastFacts = make([]uint64, ps.nIDs)
-	ps.moduleGen = 1 // so the zero value of lastRun/lastPre means "never"
-	ps.factsGen = 1
+	ps.last = make([]uint64, len(ids))
 	return ps
 }
 
-func (ps *pipeState) seenOf(f *ir.Func) []uint64 {
-	sn := ps.seen[f]
-	if sn == nil {
-		sn = make([]uint64, ps.nIDs)
-		ps.seen[f] = sn
+// run executes the pass instance at schedule position i, or skips it when
+// the module has not changed since the same pass's previous instance
+// started. An executed function-scoped instance runs Pre, then Fn over
+// every defined function, then Post.
+func (ps *pipeState) run(m *ir.Module, p Pass, i int, o Options) PassStats {
+	defined, gens := genSum(m)
+	id := ps.pid[i]
+	if skipUnchanged && ps.last[id] == ps.gen {
+		return PassStats{FuncsSkipped: defined}
 	}
-	return sn
-}
-
-// applyInvalidation folds a module pass's report into the tracking state.
-func (ps *pipeState) applyInvalidation(m *ir.Module, inv *Invalidation, changed bool) {
-	if inv.all {
-		for _, f := range m.Funcs {
-			if !f.External {
-				f.MarkMutated()
-			}
+	ps.last[id] = ps.gen
+	var changed bool
+	if p.Run != nil {
+		changed = p.Run(m, o)
+	} else {
+		if p.Pre != nil {
+			p.Pre(m, o)
+		}
+		changed = forEachDefined(m, func(f *ir.Func) bool { return p.Fn(f, o) })
+		if p.Post != nil && p.Post(m, o) {
+			changed = true
 		}
 	}
-	for _, f := range inv.funcs {
-		f.MarkMutated()
+	if changed {
+		ps.gen++
+	} else if _, after := genSum(m); after != gens {
+		ps.gen++ // a mutation the pass flagged but did not report
 	}
-	if inv.facts {
-		ps.factsGen++
-	}
-	if changed || inv.all || len(inv.funcs) > 0 {
-		ps.moduleGen++
-	}
+	return PassStats{Changed: changed, FuncsVisited: defined}
 }
 
-// runModulePass executes (or provably skips) one module-scoped instance.
-func (ps *pipeState) runModulePass(m *ir.Module, p Pass, id int, o Options) (bool, PassStats) {
-	var st PassStats
-	defined := 0
+// genSum counts the module's defined functions and totals their mutation
+// generations.
+func genSum(m *ir.Module) (defined int, gens uint64) {
 	for _, f := range m.Funcs {
 		if !f.External {
 			defined++
+			gens += f.Gen()
 		}
 	}
-	if ps.lastRun[id] == ps.moduleGen {
-		st.FuncsSkipped = defined
-		return false, st
-	}
-	ps.lastRun[id] = ps.moduleGen
-	var inv Invalidation
-	changed := p.Run(m, o, &inv)
-	ps.applyInvalidation(m, &inv, changed)
-	st.Changed = changed
-	st.FuncsVisited = defined
-	return changed, st
+	return defined, gens
 }
 
-// runFuncPass executes one function-scoped instance: the optional Pre hook,
-// the dirty-filtered sweep, and the optional Post epilogue.
-func (ps *pipeState) runFuncPass(m *ir.Module, p Pass, id int, o Options) (bool, PassStats) {
-	var st PassStats
-	changed := false
-	if p.Pre != nil && ps.lastPre[id] != ps.moduleGen {
-		ps.lastPre[id] = ps.moduleGen
-		if p.Pre(m, o) {
-			ps.factsGen++
-		}
-	}
-	forceAll := ps.lastFacts[id] != ps.factsGen
-	ps.lastFacts[id] = ps.factsGen
-	for _, f := range m.Funcs {
-		if f.External {
-			continue
-		}
-		sn := ps.seenOf(f)
-		g := f.Gen()
-		if !forceAll && sn[id] == g+1 {
-			st.FuncsSkipped++
-			continue
-		}
-		st.FuncsVisited++
-		sn[id] = g + 1
-		if p.Fn(f, o) {
-			f.MarkMutated()
-			changed = true
-		}
-		if f.Gen() != g {
-			// Covers both the reported change and silent cleanups the pass
-			// flagged via MarkMutated without counting them as changes.
-			ps.moduleGen++
-		}
-	}
-	if p.Post != nil {
-		var inv Invalidation
-		if p.Post(m, o, &inv) {
-			changed = true
-		}
-		ps.applyInvalidation(m, &inv, changed)
-	}
-	st.Changed = changed
-	return changed, st
-}
-
-// ObservedPipeline is Pipeline with an observer attached to every executed
-// pass instance; obs may be nil.
+// ObservedPipeline runs passes in order until a fixpoint or maxIters
+// repetitions of the whole schedule, whichever comes first, with obs
+// attached to every pass instance; obs may be nil. Real pass managers run
+// fixed schedules; iterating the schedule a couple of times approximates
+// the repeated pass groups (e.g. instcombine/simplifycfg interleavings)
+// that production pipelines contain.
 func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs Observer) error {
 	if maxIters < 1 {
 		maxIters = 1
@@ -487,14 +390,8 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 			if o.remarks != nil {
 				o.remarks.pass, o.remarks.index, o.remarks.iter = p.Name, i, iter
 			}
-			var passChanged bool
-			var st PassStats
-			if p.Run != nil {
-				passChanged, st = ps.runModulePass(m, p, ps.pid[i], o)
-			} else {
-				passChanged, st = ps.runFuncPass(m, p, ps.pid[i], o)
-			}
-			if passChanged {
+			st := ps.run(m, p, i, o)
+			if st.Changed {
 				changed = true
 			}
 			if obs != nil {
@@ -519,9 +416,8 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 	return nil
 }
 
-// forEachDefined applies f to every function with a body (module-scoped
-// passes sweep through this; function-scoped passes let the pass manager
-// drive the sweep so it can dirty-filter).
+// forEachDefined applies f to every function with a body and reports
+// whether any call returned true.
 func forEachDefined(m *ir.Module, f func(*ir.Func) bool) bool {
 	changed := false
 	for _, fn := range m.Funcs {

@@ -35,7 +35,7 @@ func buildIR(t *testing.T, src string) *ir.Module {
 func runPasses(t *testing.T, m *ir.Module, o Options, passes ...Pass) {
 	t.Helper()
 	o.VerifyEachPass = true
-	if err := Pipeline(m, o, passes, 3); err != nil {
+	if err := ObservedPipeline(m, o, passes, 3, nil); err != nil {
 		t.Fatalf("%v\n%s", err, m)
 	}
 }
@@ -295,7 +295,7 @@ func checkSemanticsPreserved(t *testing.T, o Options, passes []Pass, n int) {
 		if err != nil {
 			return false
 		}
-		if err := Pipeline(m1, o, passes, 3); err != nil {
+		if err := ObservedPipeline(m1, o, passes, 3, nil); err != nil {
 			t.Logf("seed %d: pipeline: %v", seed, err)
 			return false
 		}

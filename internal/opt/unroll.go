@@ -20,8 +20,8 @@ func unrollFunc(f *ir.Func, o Options) bool {
 	}
 	// Loop cloning assumes every block is reachable (see unswitch). The
 	// sweep's result is not part of this pass's changed flag (simplifycfg
-	// owns that cleanup), but it is a body mutation the dirty tracking
-	// must see.
+	// owns that cleanup), but it is a body mutation the pass manager must
+	// see.
 	if removeUnreachable(f) {
 		f.MarkMutated()
 	}

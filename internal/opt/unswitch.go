@@ -22,7 +22,7 @@ func unswitchFunc(f *ir.Func, o Options) bool {
 	// Unreachable leftovers can carry edges into loop bodies, which
 	// would corrupt loop cloning; sweep them first. (Natural-loop
 	// reasoning in this file assumes all blocks are reachable.) The sweep
-	// is not a reported change, but the dirty tracking must see it.
+	// is not a reported change, but the pass manager must see it.
 	if removeUnreachable(f) {
 		f.MarkMutated()
 	}

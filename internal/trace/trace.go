@@ -14,9 +14,8 @@
 //
 // The Recorder satisfies opt.Observer, so tracing is strictly opt-in: a nil
 // observer costs the pipeline one pointer comparison per pass. Pass
-// instances the dirty tracker skipped entirely are recorded without
-// rescanning the module — the IR is provably identical to the previous
-// observation.
+// instances the pass manager skipped are recorded without rescanning the
+// module — the IR is provably identical to the previous observation.
 package trace
 
 import (
@@ -213,9 +212,8 @@ func (r *Recorder) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration
 	}
 	ref := PassRef{Pass: pass, ScheduleIndex: scheduleIndex, Iteration: iteration}
 	if !st.Changed && st.FuncsVisited == 0 {
-		// The dirty tracker skipped every function (or the whole module
-		// pass): nothing ran, so the module is bit-identical to the
-		// previous observation. Reuse it instead of rescanning — the
+		// The pass manager skipped the instance: nothing ran, so the
+		// module is bit-identical to the previous observation. Reuse it instead of rescanning — the
 		// profile entry this writes is exactly what a full scan would
 		// produce (no eliminations, zero deltas).
 		r.profile.Passes = append(r.profile.Passes, PassProfile{

@@ -25,6 +25,12 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The benchmark is a nested module, so `go test ./...` above skips it. Vet
+# and test it here: a change to the internal API it compiles against
+# (opt.PassStats, pipeline.Config.CompileObserved, core.Compilation) must
+# fail this gate, not the next benchmark run.
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test -short ./...)
+
 # The campaign layer is the only concurrent code: re-run the scheduler,
 # harness, and corpus suites under the race detector (the metrics registry
 # and event log are exercised by the corpus suite's resume test), plus the
