@@ -480,7 +480,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 		reg := metrics.New()
 		prog := harness.NewProgress(b.N, 1, reg)
 		events := metrics.NewEventLog(io.Discard)
-		events.KeepTail(4096)
+		events.KeepTail()
 		run, err := monitor.Start("127.0.0.1:0", monitor.New("bench", reg, prog, events))
 		if err != nil {
 			b.Fatal(err)

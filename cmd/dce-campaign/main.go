@@ -23,14 +23,14 @@
 // resumed campaign prints byte-identical output to an uninterrupted one.
 // Crash reproducers can be persisted with -repro-dir for dce-reduce.
 // -serve exposes /healthz, /metrics, /progress, /findings,
-// /events?since=N, /timeline?since=N, and (with -remarks) /remarks?since=N
-// while the campaign runs; -history leaves a fingerprinted snapshot behind
+// /events?since=N, and /timeline?since=N while the campaign runs; -history leaves a fingerprinted snapshot behind
 // for dce-trend's cross-run diffing.
 //
 // -remarks collects optimization remarks (internal/remark): the report
 // gains a per-pass applied/missed table with the top miss reasons, every
 // finding carries its nearest-miss chain (render them with dce-explain),
-// and seed-outcome summaries ride the checkpoint.
+// seed-outcome summaries ride the checkpoint, and each freshly analyzed
+// seed's summary is a "remarks" event in the -events stream and on /events.
 //
 // -trace FILE records a hierarchical span timeline (seed → unit → phase →
 // pass, plus scheduler occupancy) as Chrome trace_event JSON: load it in
@@ -155,7 +155,7 @@ func main() {
 		opts.Events = events
 	}
 	if mon.Serving() {
-		events.KeepTail(4096)
+		events.KeepTail()
 	}
 
 	var spans *span.Recorder
@@ -172,16 +172,7 @@ func main() {
 		opts.Spans = spans
 	}
 	if mon.Serving() {
-		spans.KeepTail(4096)
-	}
-
-	var remarkLog *dcelens.EventLog
-	if *remarks && mon.Serving() {
-		// /remarks serves the per-seed remark summaries; nothing is
-		// persisted to disk, only the tail ring matters.
-		remarkLog = dcelens.NewEventLog(io.Discard)
-		remarkLog.KeepTail(4096)
-		opts.RemarkLog = remarkLog
+		spans.KeepTail()
 	}
 
 	// The live surfaces (heartbeat, /progress, ETA) count the seeds this
@@ -194,7 +185,6 @@ func main() {
 	}
 	msrv := monitor.New(tool, reg, prog, events)
 	msrv.Spans = spans
-	msrv.Remarks = remarkLog
 	defer mon.Serve(tool, msrv)()
 
 	stopHeartbeat := func() {}

@@ -97,15 +97,14 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Events receives the campaign's structured JSONL event stream:
 	// campaign/seed/unit begin-end, failures, and checkpoint writes, each a
-	// single JSON object with a monotonic sequence number. Nil disables it.
+	// single JSON object with a monotonic sequence number. With Remarks on,
+	// each freshly analyzed seed also emits one "remarks" event (its
+	// per-pass applied and missed counts and its miss-reason histogram)
+	// before its seed_end; restored seeds emit none (their summaries live in
+	// the checkpointed outcomes). Events flush through the sequencer in seed
+	// order, so the stream is deterministic across worker counts. Nil
+	// disables it.
 	Events *metrics.EventLog
-	// RemarkLog receives one "remarks" event per freshly-analyzed seed that
-	// collected remarks (Options.Remarks): the seed's per-pass applied and
-	// missed counts and its miss-reason histogram. Events flush through the
-	// sequencer in seed order, so the stream is deterministic across worker
-	// counts; restored seeds emit nothing (their summaries live in the
-	// checkpointed outcomes). Nil disables it.
-	RemarkLog *metrics.EventLog
 	// Spans receives the campaign's hierarchical span timeline
 	// (internal/span): per-seed prepare/finalize stages, (seed, config)
 	// units with their phase and pass spans, checkpoint writes, and the
@@ -491,7 +490,7 @@ func countRemarks(reg *metrics.Registry, rs *RemarkSummary) {
 	}
 }
 
-// remarkFields renders a seed's remark summary for the remark event log.
+// remarkFields renders a seed's remark summary as a "remarks" event.
 func remarkFields(seed int64, rs *RemarkSummary) map[string]any {
 	fields := map[string]any{"seed": seed}
 	if len(rs.Applied) > 0 {
@@ -508,12 +507,12 @@ func remarkFields(seed int64, rs *RemarkSummary) map[string]any {
 
 // buildProgram runs the program-construction half of a seed under the
 // harness: generation, instrumentation, ground truth, and the marker CFG.
-// Failures are infeasible-kind and abandon the seed; the failure event is
-// buffered into ev (and phase spans into sp) for sequenced emission.
-func buildProgram(o Options, h *harness.Harness, seed int64, ev *eventBuf, sp *spanBuf, tid int) *ProgramResult {
+// Failures are infeasible-kind and abandon the seed; the failure event and
+// the phase spans are buffered into buf for sequenced emission.
+func buildProgram(o Options, h *harness.Harness, seed int64, buf *slotBuf, tid int) *ProgramResult {
 	r := &ProgramResult{Seed: seed, PerCfg: map[ConfigKey]*core.Analysis{}}
 	if fail := h.Protect(seed, "", "", func(opt.Observer) error {
-		clock := metrics.PhaseClock{Reg: o.Metrics, Sink: sp.phases(tid)}
+		clock := metrics.PhaseClock{Reg: o.Metrics, Sink: buf.phases(tid)}
 		ph := clock.Start(metrics.PhaseGenerate)
 		prog := cgen.Generate(o.GenConfig(seed))
 		ph.Stop()
@@ -540,7 +539,7 @@ func buildProgram(o Options, h *harness.Harness, seed int64, ev *eventBuf, sp *s
 	}); fail != nil {
 		r.Err = fmt.Errorf("seed %d: %s: %s", seed, fail.Kind, fail.Message)
 		r.Failures = append(r.Failures, *fail)
-		ev.emit("failure", failureFields(fail))
+		buf.emit("failure", failureFields(fail))
 	}
 	return r
 }
@@ -558,22 +557,21 @@ func failureFields(f *harness.Failure) map[string]any {
 
 // runConfig compiles and analyzes one configuration under the harness.
 // It touches no shared state: the analysis is returned for the seed's
-// finalize stage to merge, and events (and spans) are buffered into ev and
-// sp for sequenced emission, which is what lets a seed's units run
-// concurrently.
-func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, src string, traced, remarks bool, ev *eventBuf, sp *spanBuf, tid int) (*core.Analysis, *harness.Failure) {
+// finalize stage to merge, and events and spans are buffered into buf for
+// sequenced emission, which is what lets a seed's units run concurrently.
+func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, src string, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
 	cfg := pipeline.New(key.Personality, key.Level)
-	ev.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
-	ustart := sp.now()
+	buf.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
+	ustart := buf.now()
 	var out *core.Analysis
 	fail := h.Protect(r.Seed, key.String(), src, func(obs opt.Observer) error {
-		if sp != nil {
+		if buf.timed() {
 			// The pass-span observer rides the same seam as the trace and
 			// metrics collectors, after the harness guard.
-			obs = opt.Observers(obs, &passSpans{sp: sp, tid: tid})
+			obs = opt.Observers(obs, &passSpans{sp: buf, tid: tid})
 		}
 		an, err := core.Analyze(r.Ins, cfg, r.Truth, r.Graph, core.Instr{
-			Observer: obs, Metrics: o.Metrics, Phases: sp.phases(tid),
+			Observer: obs, Metrics: o.Metrics, Phases: buf.phases(tid),
 			Trace: traced, Remarks: remarks,
 		})
 		if err != nil {
@@ -588,16 +586,14 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 		return nil
 	})
 	o.Metrics.Counter(metrics.CounterUnits).Inc()
-	ev.emit("unit_end", map[string]any{
+	buf.emit("unit_end", map[string]any{
 		"seed": r.Seed, "config": key.String(), "ok": fail == nil,
 	})
-	if sp != nil {
-		sp.add(span.Span{
-			Name: key.String(), Cat: span.CatUnit, TID: tid,
-			Start: ustart, Dur: time.Since(ustart),
-			Args: []span.Arg{span.Int64("seed", r.Seed), span.Bool("ok", fail == nil)},
-		})
-	}
+	buf.add(span.Span{
+		Name: key.String(), Cat: span.CatUnit, TID: tid,
+		Start: ustart, Dur: time.Since(ustart),
+		Args: []span.Arg{span.Int64("seed", r.Seed), span.Bool("ok", fail == nil)},
+	})
 	if fail != nil {
 		return nil, fail
 	}

@@ -17,30 +17,72 @@ type bufEvent struct {
 	fields map[string]any
 }
 
-// eventBuf collects a stage's events for deferred, sequenced emission:
-// workers record what happened as it happens, but nothing reaches the
-// campaign event log until the owning slot's turn comes up in corpus
-// order. That is what keeps event-log sequence numbers — and the live
-// findings order — independent of how the scheduler interleaved the work.
-type eventBuf []bufEvent
-
-func (b *eventBuf) emit(name string, fields map[string]any) {
-	*b = append(*b, bufEvent{name, fields})
+// slotBuf collects one sequencer slot's telemetry — its events and, when
+// the campaign records a timeline, its logical spans (seed, unit, phase,
+// pass, checkpoint) — for deferred, sequenced emission: workers record what
+// happened as it happens, but nothing reaches the event log or the span
+// recorder until the owning slot's turn comes up in corpus order. That is
+// what keeps event-log sequence numbers, a deterministic trace's span
+// sequence, and the live findings order independent of how the scheduler
+// interleaved the work. With spans off, add, now and phases do nothing, so
+// the instrumented paths cost one comparison.
+type slotBuf struct {
+	o      *Options
+	events []bufEvent
+	spans  []span.Span
 }
 
-func (b eventBuf) flush(l *metrics.EventLog) {
-	for _, e := range b {
-		l.Emit(e.name, e.fields)
+func (b *slotBuf) emit(name string, fields map[string]any) {
+	b.events = append(b.events, bufEvent{name, fields})
+}
+
+// timed reports whether the campaign collects a span timeline.
+func (b *slotBuf) timed() bool { return b.o.Spans != nil }
+
+func (b *slotBuf) add(sp span.Span) {
+	if b.timed() {
+		b.spans = append(b.spans, sp)
+	}
+}
+
+// now stamps the clock only when spans are being collected.
+func (b *slotBuf) now() time.Time {
+	if !b.timed() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// flush delivers the buffered events and spans; it runs as the slot's
+// sequencer callback.
+func (b *slotBuf) flush() {
+	for _, e := range b.events {
+		b.o.Events.Emit(e.name, e.fields)
+	}
+	for _, sp := range b.spans {
+		b.o.Spans.Emit(sp)
+	}
+}
+
+// phases returns the phase sink recording b's phase spans on track tid, or
+// nil when spans are off (so a phase clock with no registry either is never
+// read).
+func (b *slotBuf) phases(tid int) metrics.PhaseSink {
+	if !b.timed() {
+		return nil
+	}
+	return func(phase string, start time.Time, d time.Duration) {
+		b.add(span.Span{Name: phase, Cat: span.CatPhase, TID: tid, Start: start, Dur: d})
 	}
 }
 
 // seedJob is one seed's fork-join job on the sched engine. Its sequencer
 // slots reproduce the serial event order exactly: slot `slot` carries
 // seed_begin plus the prepare stage's events, slots slot+1+u carry unit
-// u's events in config order, and the final slot carries the checkpoint
-// event, seed_end, and the live-progress findings append. Span buffers
-// ride the same slots, so the timeline's logical spans flush in corpus
-// order too.
+// u's events in config order, and the final slot carries the remarks
+// event, the checkpoint event, seed_end, and the live-progress findings
+// append. Each slot's events and spans share one slotBuf, so the
+// timeline's logical spans flush in corpus order too.
 //
 // All mutable fields are written by at most one stage at a time; the
 // engine's lock provides the prepare→units→finalize happens-before edges,
@@ -62,15 +104,10 @@ type seedJob struct {
 	src      string
 	restored bool
 	skipped  bool
-	unitEv   []eventBuf
-	unitSp   []spanBuf
+	unitBuf  []slotBuf
 	unitAn   []*core.Analysis
 	unitFail []*harness.Failure
 }
-
-// spans reports whether the campaign collects a span timeline; a nil
-// buffer pointer disables every collection site downstream.
-func (j *seedJob) spans() bool { return j.o.Spans != nil }
 
 // prepare restores the seed from the checkpoint or builds its program,
 // reporting how many config units follow (0 for restored and
@@ -81,13 +118,13 @@ func (j *seedJob) prepare(w int) (int, error) {
 		// seeds are already checkpointed, so a resume runs exactly the
 		// skipped ones and reports byte-identically to an uninterrupted run.
 		j.skipped = true
-		j.flush(j.slot, nil, nil, nil)
+		j.seq.Done(j.slot, nil)
 		j.skipUnits()
 		j.seq.Done(j.lastSlot(), nil)
 		return 0, nil
 	}
-	var ev eventBuf
-	ev.emit("seed_begin", map[string]any{"seed": j.seed})
+	buf := &slotBuf{o: j.o}
+	buf.emit("seed_begin", map[string]any{"seed": j.seed})
 	if j.o.Checkpoint != nil {
 		var restored SeedOutcome
 		ok, err := j.o.Checkpoint.Restore(j.seed, &restored)
@@ -103,42 +140,37 @@ func (j *seedJob) prepare(w int) (int, error) {
 			j.restored = true
 			j.outcomes[j.idx] = &restored
 			j.o.Metrics.Counter(metrics.CounterSeedsRestored).Inc()
-			ev.emit("seed_end", map[string]any{
+			buf.emit("seed_end", map[string]any{
 				"seed": j.seed, "ok": restored.Ok, "restored": true,
 			})
-			j.flush(j.slot, ev, nil, restored.Findings)
+			j.flush(j.slot, buf, restored.Findings)
 			j.skipUnits()
 			j.seq.Done(j.lastSlot(), nil)
 			return 0, nil
 		}
 	}
 	j.start = time.Now()
-	var sp spanBuf
-	spp := (*spanBuf)(nil)
-	if j.spans() {
-		spp = &sp
-	}
-	j.r = buildProgram(*j.o, j.h, j.seed, &ev, spp, w+1)
-	if spp != nil {
-		spp.add(span.Span{
-			Name: "prepare", Cat: span.CatSeed, TID: w + 1,
-			Start: j.start, Dur: time.Since(j.start),
-			Args: []span.Arg{span.Int64("seed", j.seed), span.Bool("ok", j.r.Err == nil)},
-		})
-	}
+	j.r = buildProgram(*j.o, j.h, j.seed, buf, w+1)
+	buf.add(span.Span{
+		Name: "prepare", Cat: span.CatSeed, TID: w + 1,
+		Start: j.start, Dur: time.Since(j.start),
+		Args: []span.Arg{span.Int64("seed", j.seed), span.Bool("ok", j.r.Err == nil)},
+	})
 	if j.r.Err != nil {
 		// Program-level failure: no config units; finalize still records
 		// the outcome, checkpoint, and seed_end.
-		j.flush(j.slot, ev, sp, nil)
+		j.flush(j.slot, buf, nil)
 		j.skipUnits()
 		return 0, nil
 	}
 	j.src = ast.Print(j.r.Ins.Prog)
-	j.unitEv = make([]eventBuf, len(j.cfgs))
-	j.unitSp = make([]spanBuf, len(j.cfgs))
+	j.unitBuf = make([]slotBuf, len(j.cfgs))
+	for u := range j.unitBuf {
+		j.unitBuf[u].o = j.o
+	}
 	j.unitAn = make([]*core.Analysis, len(j.cfgs))
 	j.unitFail = make([]*harness.Failure, len(j.cfgs))
-	j.flush(j.slot, ev, sp, nil)
+	j.flush(j.slot, buf, nil)
 	return len(j.cfgs), nil
 }
 
@@ -146,31 +178,22 @@ func (j *seedJob) prepare(w int) (int, error) {
 // unit's own slot for finalize to merge.
 func (j *seedJob) unit(w, u int) error {
 	key := j.cfgs[u]
-	ev := &j.unitEv[u]
-	sp := (*spanBuf)(nil)
-	if j.spans() {
-		sp = &j.unitSp[u]
-	}
-	an, fail := runConfig(*j.o, j.h, j.r, key, j.src, j.o.Trace, j.o.Remarks, ev, sp, w+1)
+	buf := &j.unitBuf[u]
+	an, fail := runConfig(*j.o, j.h, j.r, key, j.src, j.o.Trace, j.o.Remarks, buf, w+1)
 	if fail != nil && (j.o.Trace || j.o.Remarks) {
 		// Graceful degradation: the observers themselves (the trace
 		// recorder's per-pass IR scans, the remark collector) may be what
 		// broke — retry once with both off before giving up on the config.
-		if ran, retry := runConfig(*j.o, j.h, j.r, key, j.src, false, false, ev, sp, w+1); retry == nil {
+		if ran, retry := runConfig(*j.o, j.h, j.r, key, j.src, false, false, buf, w+1); retry == nil {
 			an, fail = ran, nil
 		}
 	}
 	j.unitAn[u] = an
 	if fail != nil {
 		j.unitFail[u] = fail
-		ev.emit("failure", failureFields(fail))
+		buf.emit("failure", failureFields(fail))
 	}
-	j.seq.Done(j.slot+1+u, func() {
-		j.unitEv[u].flush(j.o.Events)
-		if j.spans() {
-			j.unitSp[u].flush(j.o.Spans)
-		}
-	})
+	j.seq.Done(j.slot+1+u, buf.flush)
 	return nil
 }
 
@@ -182,13 +205,8 @@ func (j *seedJob) finalize(w int) error {
 	if j.restored || j.skipped {
 		return nil
 	}
-	var sp spanBuf
-	spp := (*spanBuf)(nil)
-	var fstart time.Time
-	if j.spans() {
-		spp = &sp
-		fstart = time.Now()
-	}
+	buf := &slotBuf{o: j.o}
+	fstart := buf.now()
 	if j.o.SeedHook != nil {
 		// The chaos seam: a panicking hook aborts the job here, before the
 		// seed's outcome exists, so a retry recomputes exactly this seed.
@@ -209,56 +227,43 @@ func (j *seedJob) finalize(w int) error {
 	j.o.Metrics.Histogram(metrics.HistCampaignSeed).Observe(d)
 	j.o.Metrics.Counter(metrics.CounterSeedsAnalyzed).Inc()
 	countFailures(j.o.Metrics, out.Failures)
-	var ev, rev eventBuf
 	if rs := out.Remarks; rs != nil {
 		countRemarks(j.o.Metrics, rs)
-		if j.o.RemarkLog != nil {
-			rev.emit("remarks", remarkFields(j.seed, rs))
-		}
+		buf.emit("remarks", remarkFields(j.seed, rs))
 	}
 	var ckErr error
 	if j.o.Checkpoint != nil {
 		// Save immediately (crash resilience does not wait for sequencing);
 		// only the checkpoint *event* is deferred to the seed's slot.
-		ckStart := spp.now()
+		ckStart := buf.now()
 		ckErr = j.o.Checkpoint.Save(j.seed, out)
 		if ckErr == nil {
-			ev.emit("checkpoint", map[string]any{"seed": j.seed})
-			if spp != nil {
-				spp.add(span.Span{
-					Name: "checkpoint", Cat: span.CatCheckpoint, TID: w + 1,
-					Start: ckStart, Dur: time.Since(ckStart),
-					Args: []span.Arg{span.Int64("seed", j.seed)},
-				})
-			}
+			buf.emit("checkpoint", map[string]any{"seed": j.seed})
+			buf.add(span.Span{
+				Name: "checkpoint", Cat: span.CatCheckpoint, TID: w + 1,
+				Start: ckStart, Dur: time.Since(ckStart),
+				Args: []span.Arg{span.Int64("seed", j.seed)},
+			})
 		}
 	}
-	ev.emit("seed_end", map[string]any{
+	buf.emit("seed_end", map[string]any{
 		"seed": j.seed, "ok": out.Ok,
 		"failures": len(out.Failures), "d_us": d.Microseconds(),
 	})
-	if spp != nil {
-		spp.add(span.Span{
-			Name: "finalize", Cat: span.CatSeed, TID: w + 1,
-			Start: fstart, Dur: time.Since(fstart),
-			Args: []span.Arg{span.Int64("seed", j.seed), span.Bool("ok", out.Ok)},
-		})
-	}
-	j.seq.Done(j.lastSlot(), func() {
-		ev.flush(j.o.Events)
-		rev.flush(j.o.RemarkLog)
-		sp.flush(j.o.Spans)
-		progressFindings(j.o.Progress, out.Findings)
+	buf.add(span.Span{
+		Name: "finalize", Cat: span.CatSeed, TID: w + 1,
+		Start: fstart, Dur: time.Since(fstart),
+		Args: []span.Arg{span.Int64("seed", j.seed), span.Bool("ok", out.Ok)},
 	})
+	j.flush(j.lastSlot(), buf, out.Findings)
 	return ckErr
 }
 
-// flush schedules ev's emissions, sp's spans, and a completed seed's
-// findings for in-order delivery when slot's turn comes.
-func (j *seedJob) flush(slot int, ev eventBuf, sp spanBuf, findings []Finding) {
+// flush schedules buf's events and spans, and a completed seed's findings,
+// for in-order delivery when slot's turn comes.
+func (j *seedJob) flush(slot int, buf *slotBuf, findings []Finding) {
 	j.seq.Done(slot, func() {
-		ev.flush(j.o.Events)
-		sp.flush(j.o.Spans)
+		buf.flush()
 		progressFindings(j.o.Progress, findings)
 	})
 }

@@ -1,8 +1,8 @@
-// Span instrumentation for campaigns: the buffered per-stage span
-// collection that rides the sequencer (keeping deterministic traces
-// byte-identical across worker counts), the sched probe that turns
+// Span instrumentation for campaigns: the sched probe that turns
 // scheduling observations into occupancy counters and wall-trace spans,
 // and the pass observer that projects per-pass timings onto the timeline.
+// Logical spans ride the sequencer in each slot's slotBuf (job.go), which
+// keeps deterministic traces byte-identical across worker counts.
 package corpus
 
 import (
@@ -15,52 +15,12 @@ import (
 	"dcelens/internal/span"
 )
 
-// spanBuf collects a stage's spans for deferred, sequenced emission — the
-// span-side twin of eventBuf. Logical spans (seed, unit, phase, pass,
-// checkpoint) reach the recorder only when the owning slot's turn comes up
-// in corpus order, which is what makes a deterministic trace's span
-// sequence independent of scheduling. A nil *spanBuf records nothing, so
-// the instrumented paths cost one comparison when spans are off.
-type spanBuf []span.Span
-
-func (b *spanBuf) add(sp span.Span) {
-	if b != nil {
-		*b = append(*b, sp)
-	}
-}
-
-// now stamps the clock only when spans are being collected.
-func (b *spanBuf) now() time.Time {
-	if b == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (b spanBuf) flush(r *span.Recorder) {
-	for _, sp := range b {
-		r.Emit(sp)
-	}
-}
-
-// phases returns the phase sink recording b's phase spans on track tid, or
-// nil when spans are off (so a phase clock with no registry either is never
-// read).
-func (b *spanBuf) phases(tid int) metrics.PhaseSink {
-	if b == nil {
-		return nil
-	}
-	return func(phase string, start time.Time, d time.Duration) {
-		b.add(span.Span{Name: phase, Cat: span.CatPhase, TID: tid, Start: start, Dur: d})
-	}
-}
-
 // passSpans is the opt.Observer that projects each executed pass instance
 // onto the unit's timeline track, composed after the harness guard via
 // opt.Observers — the same seam the trace recorder and metrics collector
 // ride.
 type passSpans struct {
-	sp  *spanBuf
+	sp  *slotBuf
 	tid int
 }
 

@@ -133,7 +133,8 @@ func (h *Heartbeat) line(start time.Time) string {
 	perf := ""
 	if units := h.Reg.Counter(CounterUnits).Value(); units > 0 && elapsed > 0 {
 		perf = fmt.Sprintf(", %.1f units/s", float64(units)/elapsed)
-		if skip, ok := PassSkipRate(h.Reg); ok {
+		visited, skipped := h.Reg.Counter(CounterPassVisited).Value(), h.Reg.Counter(CounterPassSkipped).Value()
+		if skip, ok := PassSkipRate(visited, skipped); ok {
 			perf += fmt.Sprintf(", %.0f%% skipped", skip*100)
 		}
 	}
@@ -144,14 +145,11 @@ func (h *Heartbeat) line(start time.Time) string {
 // PassSkipRate computes the campaign-wide middle-end skip rate: the fraction
 // of (function, pass-instance) visits that fell in pass instances the pass
 // manager skipped because the module had not changed since the same pass
-// last ran. ok is false before any pass has run (or with no registry), so
-// displays can omit the figure rather than print a bogus zero.
-func PassSkipRate(reg *Registry) (rate float64, ok bool) {
-	if reg == nil {
-		return 0, false
-	}
-	visited := reg.Counter(CounterPassVisited).Value()
-	skipped := reg.Counter(CounterPassSkipped).Value()
+// last ran, from the CounterPassVisited and CounterPassSkipped counts. It is
+// the one formula behind the heartbeat, /progress, and the /metrics derived
+// gauge. ok is false before any pass has run, so displays can omit the
+// figure rather than print a bogus zero.
+func PassSkipRate(visited, skipped int64) (rate float64, ok bool) {
 	if total := visited + skipped; total > 0 {
 		return float64(skipped) / float64(total), true
 	}

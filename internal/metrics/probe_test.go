@@ -40,7 +40,7 @@ func TestOpenEventLogConcurrentAppendAndTail(t *testing.T) {
 	if got := l.Seq(); got != 2 {
 		t.Fatalf("resumed seq = %d, want 2 (torn line skipped)", got)
 	}
-	l.KeepTail(64)
+	l.KeepTail()
 
 	const writers, perWriter = 4, 50
 	var wg sync.WaitGroup

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dcelens/internal/seqlog"
 )
 
 func TestRegistrySnapshot(t *testing.T) {
@@ -57,19 +59,20 @@ func TestRegistrySnapshotNil(t *testing.T) {
 
 func TestEventTailRing(t *testing.T) {
 	l := NewEventLog(io.Discard)
-	l.KeepTail(3)
-	for i := 1; i <= 5; i++ {
+	l.KeepTail()
+	const n = seqlog.TailCap + 2
+	for i := 1; i <= n; i++ {
 		l.Emit("seed_end", map[string]any{"seed": i})
 	}
-	// Capacity 3: seqs 1-2 were evicted.
+	// Capacity TailCap: seqs 1-2 were evicted.
 	tail := l.TailSince(0)
-	if len(tail) != 3 || tail[0].Seq != 3 || tail[2].Seq != 5 {
-		t.Fatalf("tail = %+v, want seqs 3..5", tail)
+	if len(tail) != seqlog.TailCap || tail[0].Seq != 3 || tail[len(tail)-1].Seq != n {
+		t.Fatalf("tail holds %d events, want the %d from seq 3 to %d", len(tail), seqlog.TailCap, n)
 	}
-	if got := l.TailSince(4); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("TailSince(4) = %+v", got)
+	if got := l.TailSince(n - 1); len(got) != 1 || got[0].Seq != n {
+		t.Fatalf("TailSince(n-1) = %+v", got)
 	}
-	if got := l.TailSince(5); got != nil {
+	if got := l.TailSince(n); got != nil {
 		t.Fatalf("caught-up TailSince = %+v", got)
 	}
 	for _, e := range tail {
@@ -85,15 +88,15 @@ func TestEventTailDisabled(t *testing.T) {
 	if got := l.TailSince(0); got != nil {
 		t.Fatalf("tail without KeepTail = %+v", got)
 	}
-	l.KeepTail(2)
+	// Events emitted before KeepTail are not kept.
+	l.KeepTail()
 	l.Emit("y", nil)
-	l.KeepTail(0) // disable again
-	if got := l.TailSince(0); got != nil {
-		t.Fatalf("tail after disable = %+v", got)
+	if got := l.TailSince(0); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("tail after KeepTail = %+v, want only seq 2", got)
 	}
 
 	var nilLog *EventLog
-	nilLog.KeepTail(4)
+	nilLog.KeepTail()
 	if got := nilLog.TailSince(0); got != nil {
 		t.Fatalf("nil log tail = %+v", got)
 	}

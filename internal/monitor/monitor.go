@@ -1,8 +1,8 @@
 // Package monitor is the live campaign monitoring server: a stdlib-only
 // net/http server embedded in a running campaign (dce-campaign -serve) that
 // exposes the telemetry the campaign is already collecting — the metrics
-// registry, the harness progress view, and the JSONL event log — over five
-// read-only endpoints:
+// registry, the harness progress view, the JSONL event log, and the span
+// timeline — over read-only endpoints:
 //
 //	/healthz            liveness: tool name and uptime
 //	/metrics            Prometheus-style text exposition of the registry
@@ -11,12 +11,15 @@
 //	/findings           the findings discovered so far, as JSON
 //	/events?since=N     resumable tail of the event log (JSONL, seq > N)
 //	/timeline?since=N   resumable tail of the span timeline (JSONL, seq > N)
-//	/remarks?since=N    resumable tail of the remark log (JSONL, seq > N)
+//
+// With -remarks, each freshly analyzed seed's remark summary is a
+// "remarks" event on /events.
 //
 // The server only reads; every source it serves is already safe for
-// concurrent use (atomic registry collectors, the progress mutex, the event
-// log's tail ring), so serving adds nothing to the campaign's hot path
-// beyond what a request itself costs (BenchmarkMonitorOverhead gates this).
+// concurrent use (atomic registry collectors, the progress mutex, the
+// sequenced logs' tail rings), so serving adds nothing to the campaign's
+// hot path beyond what a request itself costs (BenchmarkMonitorOverhead
+// gates this).
 package monitor
 
 import (
@@ -32,6 +35,7 @@ import (
 
 	"dcelens/internal/harness"
 	"dcelens/internal/metrics"
+	"dcelens/internal/seqlog"
 	"dcelens/internal/span"
 )
 
@@ -52,11 +56,6 @@ type Server struct {
 	// tail (enable with Spans.KeepTail before the campaign starts). Set it
 	// after New — campaigns without a timeline leave it nil.
 	Spans *span.Recorder
-	// Remarks is the campaign remark log (corpus.Options.RemarkLog);
-	// /remarks serves its in-memory tail (enable with Remarks.KeepTail
-	// before the campaign starts). Set it after New — campaigns without
-	// remarks leave it nil.
-	Remarks *metrics.EventLog
 
 	start time.Time
 }
@@ -74,9 +73,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", ReadOnly(s.handleMetrics))
 	mux.HandleFunc("/progress", ReadOnly(s.handleProgress))
 	mux.HandleFunc("/findings", ReadOnly(s.handleFindings))
-	mux.HandleFunc("/events", ReadOnly(s.handleEvents))
-	mux.HandleFunc("/timeline", ReadOnly(s.handleTimeline))
-	mux.HandleFunc("/remarks", ReadOnly(s.handleRemarks))
+	mux.HandleFunc("/events", ReadOnly(func(w http.ResponseWriter, r *http.Request) { ServeTail(w, r, s.Events) }))
+	mux.HandleFunc("/timeline", ReadOnly(func(w http.ResponseWriter, r *http.Request) { ServeTail(w, r, s.Spans) }))
 	return mux
 }
 
@@ -102,12 +100,12 @@ func ReadOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// WriteJSON writes v as an indented JSON response. Encoding happens into
-// memory first, so an unencodable value turns into a clean 500 (plus the
-// encode-error counter) instead of a silently truncated 200; failures
-// writing the already-committed body only increment the write-error
-// counter. The registry may be nil (counters are then dropped).
-func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, v any) {
+// WriteJSON writes v as an indented JSON response with status code.
+// Encoding happens into memory first, so an unencodable value turns into a
+// clean 500 (plus the encode-error counter) instead of a silently truncated
+// reply; failures writing the already-committed body only increment the
+// write-error counter. The registry may be nil (counters are then dropped).
+func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, code int, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		reg.Counter(CounterEncodeErrors).Inc()
@@ -115,6 +113,7 @@ func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, v any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	if _, err := w.Write(append(b, '\n')); err != nil {
 		reg.Counter(CounterWriteErrors).Inc()
 	}
@@ -130,7 +129,7 @@ func JSONError(w http.ResponseWriter, code int, msg string) {
 	w.Write(append(b, '\n'))
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) { WriteJSON(w, s.Reg, v) }
+func (s *Server) writeJSON(w http.ResponseWriter, v any) { WriteJSON(w, s.Reg, http.StatusOK, v) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{
@@ -173,12 +172,8 @@ func NewDerivedGauges(snap *metrics.RegistrySnapshot, p *harness.Progress) Deriv
 		if secs := p.Elapsed().Seconds(); secs > 0 {
 			d.UnitsPerSec = float64(units) / secs
 		}
-		visited := snap.Counters[metrics.CounterPassVisited]
-		skipped := snap.Counters[metrics.CounterPassSkipped]
-		if total := visited + skipped; total > 0 {
-			d.PassSkipRate = float64(skipped) / float64(total)
-			d.PassSkipKnown = true
-		}
+		d.PassSkipRate, d.PassSkipKnown = metrics.PassSkipRate(
+			snap.Counters[metrics.CounterPassVisited], snap.Counters[metrics.CounterPassSkipped])
 	}
 	d.WorkerOccupancy = p.Occupancy()
 	return d
@@ -272,7 +267,8 @@ func NewProgressReply(p *harness.Progress, reg *metrics.Registry) ProgressReply 
 		if secs := p.Elapsed().Seconds(); secs > 0 {
 			reply.UnitsPerSec = float64(reply.Units) / secs
 		}
-		reply.PassSkipRate, reply.PassSkipKnown = metrics.PassSkipRate(reg)
+		reply.PassSkipRate, reply.PassSkipKnown = metrics.PassSkipRate(
+			reg.Counter(metrics.CounterPassVisited).Value(), reg.Counter(metrics.CounterPassSkipped).Value())
 	}
 	return reply
 }
@@ -289,36 +285,21 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"count": len(fs), "findings": fs})
 }
 
-// handleEvents serves the event-log tail as JSONL. The since parameter is
-// the last sequence number the client has seen (default 0: everything
-// buffered); the response carries only events with seq > since, so a client
-// that remembers the last seq it read resumes without duplicates. The
-// current head seq is exposed in the X-Dcelens-Last-Seq header even when no
-// new events match.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Events.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Events.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
+// Tail is a sequenced record stream a tail route serves: the event log or
+// the span recorder (both nil-safe, so a nil source serves an empty tail).
+type Tail interface {
+	Seq() int64
+	TailSince(since int64) []seqlog.Record
 }
 
-// handleTimeline serves the span recorder's tail as JSONL — the timeline
-// twin of /events, with the same resumable contract: since is the last span
-// sequence number the client has seen, the response carries only spans with
-// seq > since, and the current head seq rides the X-Dcelens-Last-Seq header
-// even when nothing new matches. Each line is one Chrome trace_event
-// object, so a client can accumulate lines into a Perfetto-loadable file.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
+// ServeTail answers a tail request — /events, /timeline, and the service's
+// per-job twins — as JSONL. The since parameter is the last sequence number
+// the client has seen (default 0: everything buffered); the response
+// carries only records with seq > since, so a client that remembers the
+// last seq it read resumes without duplicates. The current head seq rides
+// the X-Dcelens-Last-Seq header even when nothing new matches. A since that
+// is not a non-negative integer is a 400 JSON error.
+func ServeTail(w http.ResponseWriter, r *http.Request, t Tail) {
 	var since int64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -328,32 +309,9 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Spans.Seq(), 10))
+	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(t.Seq(), 10))
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Spans.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
-}
-
-// handleRemarks serves the remark log's tail as JSONL — the remarks twin of
-// /events, with the same resumable contract: since is the last remark
-// sequence number the client has seen, the response carries only events with
-// seq > since, and the current head seq rides the X-Dcelens-Last-Seq header
-// even when nothing new matches. Each line is one seed's remark summary
-// (per-pass applied/missed counts and miss reasons).
-func (s *Server) handleRemarks(w http.ResponseWriter, r *http.Request) {
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Remarks.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Remarks.TailSince(since) {
+	for _, e := range t.TailSince(since) {
 		fmt.Fprintln(w, e.Line)
 	}
 }

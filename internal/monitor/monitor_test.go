@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"dcelens/internal/corpus"
 	"dcelens/internal/harness"
 	"dcelens/internal/metrics"
+	"dcelens/internal/pipeline"
 	"dcelens/internal/span"
 )
 
@@ -167,7 +169,7 @@ func TestFindingsEndpoint(t *testing.T) {
 
 func TestEventsSinceFiltering(t *testing.T) {
 	log := metrics.NewEventLog(io.Discard)
-	log.KeepTail(16)
+	log.KeepTail()
 	for i := 0; i < 5; i++ {
 		log.Emit("seed_end", map[string]any{"seed": i})
 	}
@@ -226,7 +228,7 @@ func TestEventsBadSince(t *testing.T) {
 // with 405 and an Allow header; GET keeps working.
 func TestReadOnlyMethods(t *testing.T) {
 	log := metrics.NewEventLog(io.Discard)
-	log.KeepTail(4)
+	log.KeepTail()
 	s := New("dce-test", metrics.New(), harness.NewProgress(1, 1, nil), log)
 	h := s.Handler()
 	for _, path := range []string{"/healthz", "/metrics", "/progress", "/findings", "/events"} {
@@ -252,7 +254,7 @@ func TestReadOnlyMethods(t *testing.T) {
 func TestWriteJSONEncodeError(t *testing.T) {
 	reg := metrics.New()
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, reg, math.NaN()) // NaN has no JSON encoding
+	WriteJSON(rec, reg, http.StatusOK, math.NaN()) // NaN has no JSON encoding
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -278,7 +280,7 @@ func (f *failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe 
 // committed status, so it surfaces through the write-error counter.
 func TestWriteJSONWriteError(t *testing.T) {
 	reg := metrics.New()
-	WriteJSON(&failingWriter{header: http.Header{}}, reg, map[string]int{"a": 1})
+	WriteJSON(&failingWriter{header: http.Header{}}, reg, http.StatusOK, map[string]int{"a": 1})
 	if got := reg.Counter(CounterWriteErrors).Value(); got != 1 {
 		t.Fatalf("write-error counter = %d, want 1", got)
 	}
@@ -358,7 +360,7 @@ func TestPromName(t *testing.T) {
 
 func TestTimelineEndpoint(t *testing.T) {
 	rec := span.New(io.Discard)
-	rec.KeepTail(16)
+	rec.KeepTail()
 	for i := 0; i < 5; i++ {
 		rec.Emit(span.Span{Name: "gcc-sim -O2", Cat: span.CatUnit, TID: 1,
 			Start: time.Now(), Dur: time.Millisecond,
@@ -482,40 +484,44 @@ func TestDerivedGaugesSingleSnapshot(t *testing.T) {
 	}
 }
 
-// TestRemarksEndpoint: /remarks serves the remark log's tail with the same
-// resumable since-contract as /events, and degrades to an empty body when
-// no remark log is attached.
+// TestRemarksEndpoint: a Remarks campaign publishes each freshly analyzed
+// seed's remark summary as a "remarks" event on /events, in the seed's
+// closing events before its seed_end.
 func TestRemarksEndpoint(t *testing.T) {
-	rl := metrics.NewEventLog(io.Discard)
-	rl.KeepTail(16)
-	rl.Emit("remarks", map[string]any{"seed": int64(7), "applied": map[string]int{"dce": 3}})
-	rl.Emit("remarks", map[string]any{"seed": int64(8), "reasons": map[string]int{"alias-unknown": 2}})
-	s := New("dce-test", nil, nil, nil)
-	s.Remarks = rl
-
-	rec := get(t, s, "/remarks")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, want 200", rec.Code)
+	events := metrics.NewEventLog(io.Discard)
+	events.KeepTail()
+	if _, err := corpus.Run(corpus.Options{
+		Programs: 2, BaseSeed: 100, Workers: 1, Remarks: true, Events: events,
+		Personalities: []pipeline.Personality{pipeline.GCC}, Levels: []pipeline.Level{pipeline.O2},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := rec.Header().Get("X-Dcelens-Last-Seq"); got != "2" {
-		t.Fatalf("last-seq header = %q, want 2", got)
+	rec := get(t, New("dce-test", nil, nil, events), "/events?since=0")
+	var remarks []map[string]any
+	pending := map[float64]bool{} // seeds with a remarks event and no seed_end yet
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		seed, _ := ev["seed"].(float64)
+		switch ev["event"] {
+		case "remarks":
+			remarks = append(remarks, ev)
+			pending[seed] = true
+		case "seed_end":
+			if !pending[seed] {
+				t.Fatalf("seed %v ended without a remarks event before it:\n%s", seed, rec.Body.String())
+			}
+			delete(pending, seed)
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], `"seed":7`) || !strings.Contains(lines[1], "alias-unknown") {
-		t.Fatalf("remarks body = %q", rec.Body.String())
+	if len(remarks) != 2 || len(pending) != 0 {
+		t.Fatalf("got %d remarks events (%d unclosed), want one per seed:\n%s", len(remarks), len(pending), rec.Body.String())
 	}
-
-	rec = get(t, s, "/remarks?since=1")
-	if lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `"seed":8`) {
-		t.Fatalf("resumed remarks body = %q", rec.Body.String())
-	}
-	if rec := get(t, s, "/remarks?since=bogus"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad since status = %d, want 400", rec.Code)
-	}
-
-	// No remark log attached: empty but valid.
-	bare := New("dce-test", nil, nil, nil)
-	if rec := get(t, bare, "/remarks"); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "" {
-		t.Fatalf("bare /remarks = %d %q, want empty 200", rec.Code, rec.Body.String())
+	for _, key := range []string{"seed", "applied", "missed", "reasons"} {
+		if _, ok := remarks[0][key]; !ok {
+			t.Fatalf("remarks event lacks %q: %v", key, remarks[0])
+		}
 	}
 }

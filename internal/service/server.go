@@ -52,8 +52,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs", s.handleJobs)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleTimeline)
+	mux.HandleFunc("GET /jobs/{id}/events", s.handleTail(func(j *Job) monitor.Tail { return j.Events() }))
+	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleTail(func(j *Job) monitor.Tail { return j.Spans() }))
 	mux.HandleFunc("GET /jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /jobs/{id}/findings", s.handleFindings)
 	mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
@@ -61,24 +61,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
-}
-
-// writeJSON is monitor.WriteJSON with an explicit status code (202 for
-// submissions): encode first, then commit the status, so an encode
-// failure still turns into a clean 500.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	reg := s.Engine.Metrics()
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		reg.Counter(monitor.CounterEncodeErrors).Inc()
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		reg.Counter(monitor.CounterWriteErrors).Inc()
-	}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -102,7 +84,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		monitor.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusAccepted, j.Status())
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -111,7 +93,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		out[i] = j.Status()
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "jobs": out})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"count": len(out), "jobs": out})
 }
 
 // job resolves {id}, writing the 404 itself when absent.
@@ -127,7 +109,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		s.writeJSON(w, http.StatusOK, j.Status())
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Status())
 	}
 }
 
@@ -137,55 +119,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, _ = s.Engine.Cancel(j.ID)
-	s.writeJSON(w, http.StatusOK, j.Status())
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Status())
 }
 
-// handleEvents mirrors the monitor's /events contract per job: an ndjson
-// tail of events with seq > since, the head seq in X-Dcelens-Last-Seq.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			monitor.JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
+// handleTail serves one job's stream through monitor.ServeTail, the
+// monitor's /events and /timeline contract per job.
+func (s *Server) handleTail(stream func(*Job) monitor.Tail) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if j, ok := s.job(w, r); ok {
+			monitor.ServeTail(w, r, stream(j))
 		}
-		since = n
-	}
-	log := j.Events()
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(log.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range log.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
-}
-
-// handleTimeline mirrors the monitor's /timeline contract per job: an
-// ndjson tail of trace_event lines with seq > since, the head seq in
-// X-Dcelens-Last-Seq.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			monitor.JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	rec := j.Spans()
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(rec.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range rec.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
 	}
 }
 
@@ -197,7 +140,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, monitor.NewProgressReply(j.Progress(), j.Registry()))
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, monitor.NewProgressReply(j.Progress(), j.Registry()))
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +152,7 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 	if fs == nil {
 		fs = []any{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"count": len(fs), "findings": fs})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"count": len(fs), "findings": fs})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -245,10 +188,10 @@ func (s *Server) handleRemarks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sum == nil {
-		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "remarks": false})
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"id": j.ID, "remarks": false})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "remarks": true, "summary": sum})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"id": j.ID, "remarks": true, "summary": sum})
 }
 
 // HealthReply is the /healthz body: admission health plus the queue and
@@ -272,7 +215,7 @@ type HealthReply struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reg := s.Engine.Metrics()
 	depth, capacity := s.Engine.QueueDepth()
-	s.writeJSON(w, http.StatusOK, HealthReply{
+	monitor.WriteJSON(w, reg, http.StatusOK, HealthReply{
 		Status:     s.Engine.Health(),
 		Tool:       s.Engine.Tool,
 		UptimeMs:   time.Since(s.start).Milliseconds(),
@@ -290,7 +233,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.Engine.Metrics().Snapshot()
 	if r.URL.Query().Get("format") == "json" {
-		s.writeJSON(w, http.StatusOK, snap)
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, snap)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -23,19 +23,20 @@
 //     the corpus layer flushes logical spans through the sequencer in slot
 //     order, a deterministic trace is byte-identical across -j values and
 //     across halt/resume.
-//   - Concurrent-safe: sequence numbers and writes happen under one lock,
-//     exactly like the event log, and the optional in-memory tail ring
-//     serves the monitor's resumable /timeline endpoint.
+//   - Concurrent-safe: the recorder renders spans over a seqlog.Log — the
+//     same sequenced stream as the event log — which numbers and writes
+//     them under one lock and keeps the optional in-memory tail behind the
+//     monitor's resumable /timeline endpoint.
 package span
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"dcelens/internal/seqlog"
 )
 
 // Span categories. Deterministic recorders keep only the logical
@@ -91,91 +92,61 @@ type Span struct {
 	Args  []Arg
 }
 
-// Entry is one rendered span held in the in-memory tail: its sequence
-// number and the trace_event JSON object (no trailing comma or newline).
-type Entry struct {
-	Seq  int64
-	Line string
-}
-
-// Recorder serializes spans into a Chrome trace_event stream. All methods
-// are nil-safe.
+// Recorder serializes spans into a Chrome trace_event stream, rendered
+// over a seqlog.Log that numbers, keeps and writes them. All methods are
+// nil-safe.
 type Recorder struct {
-	mu            sync.Mutex
-	w             io.Writer
-	c             io.Closer
+	log           *seqlog.Log
 	deterministic bool
 	start         time.Time
-	seq           int64
-	err           error
-
-	// tail is the optional ring of recent spans (KeepTail) behind the
-	// monitor's resumable /timeline endpoint. tailHead indexes the oldest.
-	tail     []Entry
-	tailLen  int
-	tailHead int
 }
 
 // New returns a wall-clock recorder writing to w; if w is also an
 // io.Closer, Close closes it. The stream header (array opener plus a
-// metadata record naming the mode) is written immediately.
-func New(w io.Writer) *Recorder { return newRecorder(w, false, true) }
+// metadata record naming the mode) is written immediately. A nil w keeps
+// spans in the tail only.
+func New(w io.Writer) *Recorder { return newRecorder(seqlog.New(w, traceFormat(false)), false) }
 
 // NewDeterministic returns a recorder in deterministic mode: scheduler and
 // job spans are dropped and all wall-clock fields render as zero, so the
 // resulting trace is byte-identical across worker counts and resumes.
-func NewDeterministic(w io.Writer) *Recorder { return newRecorder(w, true, true) }
+func NewDeterministic(w io.Writer) *Recorder {
+	return newRecorder(seqlog.New(w, traceFormat(true)), true)
+}
 
-func newRecorder(w io.Writer, deterministic, header bool) *Recorder {
-	r := &Recorder{w: w, deterministic: deterministic, start: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		r.c = c
+func newRecorder(l *seqlog.Log, deterministic bool) *Recorder {
+	return &Recorder{log: l, deterministic: deterministic, start: time.Now()}
+}
+
+// traceFormat is the trace_event stream's shape: the array opener and a
+// metadata record naming the mode, then one object per line, each followed
+// by a comma (the closing bracket is never written).
+func traceFormat(deterministic bool) seqlog.Format {
+	mode := "wall"
+	if deterministic {
+		mode = "deterministic"
 	}
-	if header && w != nil {
-		mode := "wall"
-		if deterministic {
-			mode = "deterministic"
-		}
-		_, r.err = io.WriteString(w, "[\n"+
-			`{"name":"process_name","cat":"__metadata","ph":"M","pid":1,"tid":0,"args":{"name":"dcelens","mode":"`+mode+`"}},`+"\n")
+	return seqlog.Format{
+		Head: "[\n" + `{"name":"process_name","cat":"__metadata","ph":"M","pid":1,"tid":0,"args":{"name":"dcelens","mode":"` + mode + `"}},` + "\n",
+		Term: ",\n",
 	}
-	return r
 }
 
 // Open opens a file-backed recorder. With resume false the file is
-// truncated and a fresh header written; with resume true an existing
-// non-empty file is appended to with no new header, so a halted campaign's
-// trace plus its resumed continuation reads as one stream (and, in
+// truncated and a fresh header written. With resume true the file is cut
+// back to its last complete line (a killed campaign's torn final line is
+// dropped) and appended to with no new header, so a halted campaign's
+// trace plus its resumed continuation reads as one loadable stream (and, in
 // deterministic mode, is byte-identical to an uninterrupted run's —
-// restored seeds emit no spans). A missing or empty file gets the header.
+// restored seeds emit no spans). A file that is missing or empty after the
+// cut gets the header. Span sequence numbers (the live tail's) restart at
+// zero in each process; the trace itself carries none.
 func Open(path string, resume, deterministic bool) (*Recorder, error) {
-	flags := os.O_CREATE | os.O_RDWR
-	if resume {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	l, err := seqlog.Open(path, resume, traceFormat(deterministic))
 	if err != nil {
 		return nil, err
 	}
-	header := true
-	if resume {
-		if st, err := f.Stat(); err == nil && st.Size() > 0 {
-			header = false
-			// A killed campaign can leave a torn final line with no
-			// newline; seal it so the first resumed span starts a fresh
-			// line instead of corrupting the torn fragment's parse.
-			buf := make([]byte, 1)
-			if _, err := f.ReadAt(buf, st.Size()-1); err == nil && buf[0] != '\n' {
-				if _, err := f.Write([]byte(",\n")); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-		}
-	}
-	return newRecorder(f, deterministic, header), nil
+	return newRecorder(l, deterministic), nil
 }
 
 // Deterministic reports whether the recorder redacts wall-clock fields.
@@ -184,28 +155,11 @@ func (r *Recorder) Deterministic() bool { return r != nil && r.deterministic }
 // Emit records one span. Deterministic recorders silently drop categories
 // whose timing depends on scheduling (CatJob, CatSched). Nil-safe.
 func (r *Recorder) Emit(sp Span) {
-	if r == nil {
+	if r == nil || r.deterministic && !deterministicCat(sp.Cat) {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.deterministic && !deterministicCat(sp.Cat) {
-		return
-	}
-	r.seq++
 	line := r.render(sp)
-	if len(r.tail) > 0 {
-		i := (r.tailHead + r.tailLen) % len(r.tail)
-		r.tail[i] = Entry{Seq: r.seq, Line: line}
-		if r.tailLen < len(r.tail) {
-			r.tailLen++
-		} else {
-			r.tailHead = (r.tailHead + 1) % len(r.tail)
-		}
-	}
-	if r.w != nil && r.err == nil {
-		_, r.err = io.WriteString(r.w, line+",\n")
-	}
+	r.log.Append(func(int64) (string, error) { return line, nil })
 }
 
 // render serializes one span as a trace_event complete event. Field order is
@@ -266,66 +220,26 @@ func quoteJSON(b *strings.Builder, s string) {
 	b.WriteByte('"')
 }
 
-// KeepTail enables the in-memory span tail with capacity n (the newest n
-// spans are retained); n <= 0 disables it. Call before emitting. Nil-safe.
-func (r *Recorder) KeepTail(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 {
-		r.tail, r.tailLen, r.tailHead = nil, 0, 0
-		return
-	}
-	r.tail = make([]Entry, n)
-	r.tailLen, r.tailHead = 0, 0
-}
-
-// TailSince returns the buffered spans with sequence numbers strictly
-// greater than since, oldest first. Spans older than the tail's capacity
-// are gone; callers detect the gap when the first returned seq exceeds
-// since+1. Nil-safe (and empty without KeepTail).
-func (r *Recorder) TailSince(since int64) []Entry {
+// stream is the underlying log, nil for a nil *Recorder.
+func (r *Recorder) stream() *seqlog.Log {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Entry
-	for i := 0; i < r.tailLen; i++ {
-		e := r.tail[(r.tailHead+i)%len(r.tail)]
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
+	return r.log
 }
+
+// KeepTail enables the in-memory tail of the newest seqlog.TailCap spans
+// (the monitor's /timeline endpoint). Call before emitting. Nil-safe.
+func (r *Recorder) KeepTail() { r.stream().KeepTail() }
+
+// TailSince returns the kept spans with seq > since, oldest first (see
+// seqlog.Log.TailSince). Nil-safe.
+func (r *Recorder) TailSince(since int64) []seqlog.Record { return r.stream().TailSince(since) }
 
 // Seq returns the sequence number of the last recorded span (0 before the
 // first). Nil-safe.
-func (r *Recorder) Seq() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
+func (r *Recorder) Seq() int64 { return r.stream().Seq() }
 
 // Close closes the underlying writer when it is closable and returns the
 // first write error the recorder swallowed. Nil-safe.
-func (r *Recorder) Close() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.c != nil {
-		if cerr := r.c.Close(); r.err == nil {
-			r.err = cerr
-		}
-		r.c = nil
-	}
-	return r.err
-}
+func (r *Recorder) Close() error { return r.stream().Close() }

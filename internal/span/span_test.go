@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dcelens/internal/seqlog"
 )
 
 func TestRecorderHeaderAndLines(t *testing.T) {
@@ -79,26 +81,27 @@ func TestRenderEscaping(t *testing.T) {
 
 func TestTailRing(t *testing.T) {
 	r := New(nil)
-	r.KeepTail(3)
-	for i := 0; i < 5; i++ {
+	r.KeepTail()
+	const n = seqlog.TailCap + 2
+	for i := 0; i < n; i++ {
 		r.Emit(Span{Name: "p", Cat: CatPhase})
 	}
 	got := r.TailSince(0)
-	if len(got) != 3 || got[0].Seq != 3 || got[2].Seq != 5 {
-		t.Fatalf("tail = %+v, want seqs 3..5", got)
+	if len(got) != seqlog.TailCap || got[0].Seq != 3 || got[len(got)-1].Seq != n {
+		t.Fatalf("tail holds %d spans, want the %d from seq 3 to %d", len(got), seqlog.TailCap, n)
 	}
-	if got := r.TailSince(4); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("TailSince(4) = %+v, want just seq 5", got)
+	if got := r.TailSince(n - 1); len(got) != 1 || got[0].Seq != n {
+		t.Fatalf("TailSince(n-1) = %+v, want just seq n", got)
 	}
-	if got := r.TailSince(5); len(got) != 0 {
-		t.Fatalf("TailSince(5) = %+v, want empty", got)
+	if got := r.TailSince(n); len(got) != 0 {
+		t.Fatalf("TailSince(n) = %+v, want empty", got)
 	}
 }
 
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Emit(Span{Name: "x", Cat: CatUnit})
-	r.KeepTail(4)
+	r.KeepTail()
 	if r.Seq() != 0 || r.TailSince(0) != nil || r.Deterministic() {
 		t.Fatal("nil recorder must be inert")
 	}
@@ -154,6 +157,45 @@ func TestOpenResumeAppends(t *testing.T) {
 	b, _ := os.ReadFile(fresh)
 	if !bytes.Contains(b, []byte("__metadata")) {
 		t.Fatalf("resume of an empty file must write the header:\n%s", b)
+	}
+}
+
+// TestOpenResumeTornLine: a killed run's torn final line is cut off on
+// resume, so the continued trace still parses, holding exactly the spans
+// that were written whole.
+func TestOpenResumeTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	r1, err := Open(path, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Emit(Span{Name: "a", Cat: CatUnit})
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, append(whole, `{"name":"b","cat":"se`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := Open(path, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.Emit(Span{Name: "c", Cat: CatUnit})
+	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(path)
+	if want := string(whole) + `{"name":"c","cat":"unit","ph":"X","ts":0,"dur":0,"pid":1,"tid":0},` + "\n"; string(got) != want {
+		t.Fatalf("resumed trace =\n%s\nwant\n%s", got, want)
+	}
+	tr, err := ParseFile(path)
+	if err != nil {
+		t.Fatalf("ParseFile after resuming a torn trace: %v", err)
+	}
+	if len(tr.Events) != 2 || tr.Events[0].Name != "a" || tr.Events[1].Name != "c" {
+		t.Fatalf("resumed trace events = %+v, want a then c", tr.Events)
 	}
 }
 

@@ -38,7 +38,13 @@ go test ./...
 # read campaign state while it mutates.
 go test -race ./internal/sched ./internal/harness ./internal/corpus \
     ./internal/metrics ./internal/monitor ./internal/history \
-    ./internal/service ./internal/span ./internal/remark
+    ./internal/service ./internal/span ./internal/remark ./internal/seqlog
+
+# Resume fuzz smoke: arbitrary prior bytes through both sequenced streams'
+# resume path (the event log and the span trace). The committed seed corpus
+# (internal/seqlog/testdata/fuzz/FuzzResume) already runs in `go test`
+# above; this bounded run explores beyond it.
+go test -run '^$' -fuzz '^FuzzResume$' -fuzztime 10s ./internal/seqlog
 
 # Service smoke gate: build dce-serve and drive it with the load-test
 # client — concurrent submissions against a tiny queue must produce 429s
