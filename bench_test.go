@@ -759,16 +759,25 @@ func BenchmarkAblationPrimaryFiltering(b *testing.B) {
 // the paper contrasts itself against (Barany, CC 2018): differential
 // testing on static features of the generated assembly. It reports the
 // aggregate instruction/call/load/store counts of both personalities over
-// the shared campaign — coarse signals the paper argues cannot pinpoint
-// missed DCE the way markers can.
+// the shared campaign's programs — coarse signals the paper argues cannot
+// pinpoint missed DCE the way markers can. A campaign keeps no assembly,
+// so the benchmark compiles each program's -O3 units itself.
 func BenchmarkRelatedWorkStaticMetrics(b *testing.B) {
 	c := campaign(b)
 	var g, l asm.Metrics
+	var gccAsm []string
 	for _, r := range c.Programs {
-		ga := r.PerCfg[corpus.ConfigKey{Personality: pipeline.GCC, Level: pipeline.O3}]
-		la := r.PerCfg[corpus.ConfigKey{Personality: pipeline.LLVM, Level: pipeline.O3}]
-		gm := asm.Measure(ga.Compilation.Asm)
-		lm := asm.Measure(la.Compilation.Asm)
+		ga, err := Compile(r.Ins, GCC(O3), Instr{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		la, err := Compile(r.Ins, LLVM(O3), Instr{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gccAsm = append(gccAsm, ga.Asm)
+		gm := asm.Measure(ga.Asm)
+		lm := asm.Measure(la.Asm)
 		g.Instructions += gm.Instructions
 		g.Calls += gm.Calls
 		g.Loads += gm.Loads
@@ -791,9 +800,7 @@ func BenchmarkRelatedWorkStaticMetrics(b *testing.B) {
 		"branches", g.Branches, l.Branches))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := c.Programs[i%len(c.Programs)]
-		an := r.PerCfg[corpus.ConfigKey{Personality: pipeline.GCC, Level: pipeline.O3}]
-		_ = asm.Measure(an.Compilation.Asm)
+		_ = asm.Measure(gccAsm[i%len(gccAsm)])
 	}
 }
 

@@ -14,6 +14,7 @@ package asm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dcelens/internal/ir"
@@ -22,21 +23,44 @@ import (
 
 // Emit renders the module as pseudo-assembly.
 func Emit(m *ir.Module) string {
-	var sb strings.Builder
-	sb.WriteString("\t.text\n")
+	e := &emitter{}
+	e.sb.Grow(sizeHint(m))
+	e.sb.WriteString("\t.text\n")
 	for _, f := range m.Funcs {
 		if f.External {
 			continue
 		}
-		emitFunc(&sb, f)
+		e.function(f)
 	}
 	if len(m.Globals) > 0 {
-		sb.WriteString("\t.data\n")
+		e.sb.WriteString("\t.data\n")
 		for _, g := range m.Globals {
-			emitGlobal(&sb, g)
+			emitGlobal(&e.sb, g)
 		}
 	}
-	return sb.String()
+	return e.sb.String()
+}
+
+// bytesPerInstr and bytesPerElem over-estimate the listing's average line
+// cost per instruction and per initialized data element, so the builder
+// is sized once instead of doubling its way up through every function.
+const (
+	bytesPerInstr = 24
+	bytesPerElem  = 12
+)
+
+// sizeHint estimates the length of m's listing.
+func sizeHint(m *ir.Module) int {
+	n := 16
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			n += bytesPerInstr * (len(b.Instrs) + 1)
+		}
+	}
+	for _, g := range m.Globals {
+		n += bytesPerElem * (g.Len + 2)
+	}
+	return n
 }
 
 func emitGlobal(sb *strings.Builder, g *ir.Global) {
@@ -44,8 +68,17 @@ func emitGlobal(sb *strings.Builder, g *ir.Global) {
 		fmt.Fprintf(sb, "\t.globl %s\n", g.Name)
 	}
 	fmt.Fprintf(sb, "%s:\n", mangle(g.Name))
-	size := g.Elem.Size()
-	directive := map[int]string{1: ".byte", 2: ".short", 4: ".long", 8: ".quad"}[size]
+	var directive string
+	switch g.Elem.Size() {
+	case 1:
+		directive = ".byte"
+	case 2:
+		directive = ".short"
+	case 4:
+		directive = ".long"
+	case 8:
+		directive = ".quad"
+	}
 	for i := 0; i < g.Len; i++ {
 		var c ir.Const
 		if i < len(g.Init) {
@@ -69,104 +102,207 @@ func emitGlobal(sb *strings.Builder, g *ir.Global) {
 // dots already, which is fine for local symbols; spaces are not possible).
 func mangle(name string) string { return name }
 
-func emitFunc(sb *strings.Builder, f *ir.Func) {
-	if !f.Internal {
-		fmt.Fprintf(sb, "\t.globl %s\n", f.Name)
+// emitter writes function bodies straight into one builder: registers,
+// labels and immediates are appended with strconv instead of being
+// formatted into throwaway strings, since codegen runs once per unit.
+type emitter struct {
+	sb  strings.Builder
+	fn  string   // the function being emitted, for its local labels
+	num [24]byte // strconv scratch
+}
+
+func (e *emitter) str(s string) { e.sb.WriteString(s) }
+
+func (e *emitter) int(v int64) { e.sb.Write(strconv.AppendInt(e.num[:0], v, 10)) }
+
+// reg writes in's virtual register, %v<ID>.
+func (e *emitter) reg(in *ir.Instr) {
+	e.sb.WriteString("%v")
+	e.int(int64(in.ID))
+}
+
+// label writes b's local label, .L<function>_<ID>.
+func (e *emitter) label(b *ir.Block) {
+	e.sb.WriteString(".L")
+	e.sb.WriteString(e.fn)
+	e.sb.WriteByte('_')
+	e.int(int64(b.ID))
+}
+
+// param writes the location of the i'th argument: a register for the
+// first six, a stack slot beyond.
+func (e *emitter) param(i int) {
+	if i < len(paramRegs) {
+		e.sb.WriteString(paramRegs[i])
+		return
 	}
-	fmt.Fprintf(sb, "%s:\n", f.Name)
+	e.int(int64(8 * (i - len(paramRegs))))
+	e.sb.WriteString("(%rsp)")
+}
+
+// op2 writes "\t<mn> <a>, <b>\n" for two registers.
+func (e *emitter) op2(mn string, a, b *ir.Instr) {
+	e.str(mn)
+	e.reg(a)
+	e.str(", ")
+	e.reg(b)
+	e.str("\n")
+}
+
+func (e *emitter) function(f *ir.Func) {
+	e.fn = f.Name
+	if !f.Internal {
+		e.str("\t.globl ")
+		e.str(f.Name)
+		e.str("\n")
+	}
+	e.str(f.Name)
+	e.str(":\n")
 
 	// Deterministic code layout: reverse postorder of reachable blocks.
 	blocks := f.ReversePostorder()
-	emitted := map[*ir.Block]bool{}
-	label := func(b *ir.Block) string { return fmt.Sprintf(".L%s_%d", f.Name, b.ID) }
-
 	for idx, b := range blocks {
-		emitted[b] = true
-		fmt.Fprintf(sb, "%s:\n", label(b))
+		e.label(b)
+		e.str(":\n")
+		// The block emitted next, for fallthrough elision; nil after the
+		// last one.
+		var next *ir.Block
+		if idx+1 < len(blocks) {
+			next = blocks[idx+1]
+		}
 		for _, in := range b.Instrs {
-			emitInstr(sb, f, in, label, idx+1 < len(blocks), blocks, idx)
+			e.instr(in, next)
 		}
 	}
-	sb.WriteString("\n")
+	e.str("\n")
 }
 
-func reg(in *ir.Instr) string { return fmt.Sprintf("%%v%d", in.ID) }
-
-func emitInstr(sb *strings.Builder, f *ir.Func, in *ir.Instr, label func(*ir.Block) string, hasNext bool, blocks []*ir.Block, idx int) {
+func (e *emitter) instr(in *ir.Instr, next *ir.Block) {
 	switch in.Op {
 	case ir.OpConst:
-		fmt.Fprintf(sb, "\tmov $%d, %s\n", in.IntVal, reg(in))
+		e.str("\tmov $")
+		e.int(in.IntVal)
+		e.str(", ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpNull:
-		fmt.Fprintf(sb, "\txor %s, %s\n", reg(in), reg(in))
+		e.op2("\txor ", in, in)
 	case ir.OpGlobalAddr:
-		fmt.Fprintf(sb, "\tlea %s(%%rip), %s\n", mangle(in.Global.Name), reg(in))
+		e.str("\tlea ")
+		e.str(mangle(in.Global.Name))
+		e.str("(%rip), ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpParam:
-		fmt.Fprintf(sb, "\tmov %s, %s\n", paramReg(in.ParamIdx), reg(in))
+		e.str("\tmov ")
+		e.param(in.ParamIdx)
+		e.str(", ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpAlloca:
-		fmt.Fprintf(sb, "\tlea -%d(%%rbp), %s\n", 8*(in.ID+1), reg(in))
+		e.str("\tlea -")
+		e.int(int64(8 * (in.ID + 1)))
+		e.str("(%rbp), ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpPhi:
 		// Phis are resolved by the (virtual) register copies implied on
 		// each incoming edge; document the join for readability.
-		fmt.Fprintf(sb, "\t# phi %s\n", reg(in))
+		e.str("\t# phi ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpBin:
-		fmt.Fprintf(sb, "\t%s %s, %s, %s\n", mnemonic(in.BinOp), reg(in.Args[0]), reg(in.Args[1]), reg(in))
+		e.str("\t")
+		e.str(mnemonic(in.BinOp))
+		e.str(" ")
+		e.reg(in.Args[0])
+		e.str(", ")
+		e.op2("", in.Args[1], in)
 	case ir.OpCast:
-		fmt.Fprintf(sb, "\tmovsx %s, %s\n", reg(in.Args[0]), reg(in))
+		e.op2("\tmovsx ", in.Args[0], in)
 	case ir.OpGEP:
-		fmt.Fprintf(sb, "\tlea (%s,%s,%d), %s\n", reg(in.Args[0]), reg(in.Args[1]), in.Typ.Elem.Size(), reg(in))
+		e.str("\tlea (")
+		e.reg(in.Args[0])
+		e.str(",")
+		e.reg(in.Args[1])
+		e.str(",")
+		e.int(int64(in.Typ.Elem.Size()))
+		e.str("), ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpSelect:
-		fmt.Fprintf(sb, "\ttest %s, %s\n", reg(in.Args[0]), reg(in.Args[0]))
-		fmt.Fprintf(sb, "\tcmovnz %s, %s\n", reg(in.Args[1]), reg(in))
-		fmt.Fprintf(sb, "\tcmovz %s, %s\n", reg(in.Args[2]), reg(in))
+		e.op2("\ttest ", in.Args[0], in.Args[0])
+		e.op2("\tcmovnz ", in.Args[1], in)
+		e.op2("\tcmovz ", in.Args[2], in)
 	case ir.OpLoad:
-		fmt.Fprintf(sb, "\tmov (%s), %s\n", reg(in.Args[0]), reg(in))
+		e.str("\tmov (")
+		e.reg(in.Args[0])
+		e.str("), ")
+		e.reg(in)
+		e.str("\n")
 	case ir.OpStore:
-		fmt.Fprintf(sb, "\tmov %s, (%s)\n", reg(in.Args[1]), reg(in.Args[0]))
+		e.str("\tmov ")
+		e.reg(in.Args[1])
+		e.str(", (")
+		e.reg(in.Args[0])
+		e.str(")\n")
 	case ir.OpCall:
 		for i, a := range in.Args {
-			fmt.Fprintf(sb, "\tmov %s, %s\n", reg(a), paramReg(i))
+			e.str("\tmov ")
+			e.reg(a)
+			e.str(", ")
+			e.param(i)
+			e.str("\n")
 		}
-		fmt.Fprintf(sb, "\tcall %s\n", in.Callee.Name)
+		e.str("\tcall ")
+		e.str(in.Callee.Name)
+		e.str("\n")
 		if in.Typ != nil {
-			fmt.Fprintf(sb, "\tmov %%rax, %s\n", reg(in))
+			e.str("\tmov %rax, ")
+			e.reg(in)
+			e.str("\n")
 		}
 	case ir.OpRet:
 		if len(in.Args) > 0 {
-			fmt.Fprintf(sb, "\tmov %s, %%rax\n", reg(in.Args[0]))
+			e.str("\tmov ")
+			e.reg(in.Args[0])
+			e.str(", %rax\n")
 		}
-		fmt.Fprintf(sb, "\tret\n")
+		e.str("\tret\n")
 	case ir.OpBr:
 		// Fallthrough elision when the target is the next emitted block.
-		if !(idx+1 < len(blocks) && blocks[idx+1] == in.Targets[0]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[0]))
+		if next != in.Targets[0] {
+			e.jump("\tjmp ", in.Targets[0])
 		}
 	case ir.OpCondBr:
-		fmt.Fprintf(sb, "\ttest %s, %s\n", reg(in.Args[0]), reg(in.Args[0]))
-		fmt.Fprintf(sb, "\tjnz %s\n", label(in.Targets[0]))
-		if !(idx+1 < len(blocks) && blocks[idx+1] == in.Targets[1]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[1]))
+		e.op2("\ttest ", in.Args[0], in.Args[0])
+		e.jump("\tjnz ", in.Targets[0])
+		if next != in.Targets[1] {
+			e.jump("\tjmp ", in.Targets[1])
 		}
 	}
 }
 
-func paramReg(i int) string {
-	regs := []string{"%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"}
-	if i < len(regs) {
-		return regs[i]
-	}
-	return fmt.Sprintf("%d(%%rsp)", 8*(i-len(regs)))
+// jump writes "\t<mn> <label of b>\n".
+func (e *emitter) jump(mn string, b *ir.Block) {
+	e.str(mn)
+	e.label(b)
+	e.str("\n")
+}
+
+var paramRegs = [...]string{"%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"}
+
+var mnemonics = map[token.Kind]string{
+	token.Plus: "add", token.Minus: "sub", token.Star: "imul",
+	token.Slash: "idiv", token.Percent: "irem",
+	token.Amp: "and", token.Pipe: "or", token.Caret: "xor",
+	token.Shl: "shl", token.Shr: "shr",
+	token.EqEq: "sete", token.NotEq: "setne",
+	token.Lt: "setl", token.Gt: "setg", token.Le: "setle", token.Ge: "setge",
 }
 
 func mnemonic(op token.Kind) string {
-	names := map[token.Kind]string{
-		token.Plus: "add", token.Minus: "sub", token.Star: "imul",
-		token.Slash: "idiv", token.Percent: "irem",
-		token.Amp: "and", token.Pipe: "or", token.Caret: "xor",
-		token.Shl: "shl", token.Shr: "shr",
-		token.EqEq: "sete", token.NotEq: "setne",
-		token.Lt: "setl", token.Gt: "setg", token.Le: "setle", token.Ge: "setge",
-	}
-	if n, ok := names[op]; ok {
+	if n, ok := mnemonics[op]; ok {
 		return n
 	}
 	return "op"
@@ -179,10 +315,11 @@ func mnemonic(op token.Kind) string {
 // instructions in the assembly.
 func Calls(asmText string) map[string]int {
 	out := map[string]int{}
-	for _, line := range strings.Split(asmText, "\n") {
-		line = strings.TrimSpace(line)
-		if name, ok := strings.CutPrefix(line, "call "); ok {
-			out[strings.TrimSpace(name)] = out[strings.TrimSpace(name)] + 1
+	for rest := asmText; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "call "); ok {
+			out[strings.TrimSpace(name)]++
 		}
 	}
 	return out

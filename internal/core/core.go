@@ -64,6 +64,9 @@ func GroundTruth(ins *instrument.Program) (*Truth, error) {
 // compiler configuration.
 type Compilation struct {
 	Config *pipeline.Config
+	// Module and Asm are the optimized IR and its listing. Campaign
+	// analyses (corpus.ProgramResult.PerCfg) drop both once the unit is
+	// analyzed; only a direct Compile or Analyze keeps them.
 	Module *ir.Module
 	Asm    string
 	// Alive holds the markers surviving in the assembly (the compiler

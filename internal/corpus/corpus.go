@@ -171,10 +171,15 @@ func (k ConfigKey) String() string {
 
 // ProgramResult holds everything derived from one corpus program.
 type ProgramResult struct {
-	Seed   int64
-	Ins    *instrument.Program
-	Truth  *core.Truth
-	Graph  *core.MarkerCFG
+	Seed  int64
+	Ins   *instrument.Program
+	Truth *core.Truth
+	Graph *core.MarkerCFG
+	// PerCfg holds each config's analysis. A campaign releases the
+	// compiled IR and assembly as soon as a unit is analyzed, so
+	// Compilation.Module and Compilation.Asm are nil and empty here; the
+	// marker sets, trace and remark profile stay. Compile a unit with
+	// core.Compile to inspect its code.
 	PerCfg map[ConfigKey]*core.Analysis
 	// Err is the program-level failure (generation, instrumentation, or
 	// ground truth); per-config failures are isolated in Failures so one
@@ -582,6 +587,11 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 				return fmt.Errorf("%w: %v", harness.ErrMiscompile, verr)
 			}
 		}
+		// The unit is fully analyzed: Missed and PrimaryMissed are derived
+		// and the semantic check has run. Nothing downstream reads the
+		// compiled IR or its listing, so release them here instead of
+		// keeping every config's module alive for the rest of the seed.
+		an.Compilation.Module, an.Compilation.Asm = nil, ""
 		out = an
 		return nil
 	})

@@ -1,25 +1,44 @@
 package ir
 
+import "slices"
+
 // ReversePostorder returns the blocks reachable from entry in reverse
 // postorder of a depth-first search.
 func (f *Func) ReversePostorder() []*Block {
-	seen := make([]bool, f.nextBlockID)
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs() {
-			if !seen[s.ID] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
+	post, _ := f.postorder(nil, make([]bool, f.nextBlockID), nil)
+	slices.Reverse(post)
 	return post
+}
+
+// dfsFrame is one block on the explicit depth-first search stack.
+type dfsFrame struct {
+	b    *Block
+	next int // index of the next successor to visit
+}
+
+// postorder appends the blocks reachable from entry to post in depth-first
+// postorder, visiting successors in terminator order. seen must be all
+// false and dense by Block.ID; stack is working storage. The grown post and
+// stack are returned for reuse.
+func (f *Func) postorder(post []*Block, seen []bool, stack []dfsFrame) ([]*Block, []dfsFrame) {
+	entry := f.Entry()
+	seen[entry.ID] = true
+	stack = append(stack[:0], dfsFrame{b: entry})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if succs := top.b.Succs(); top.next < len(succs) {
+			s := succs[top.next]
+			top.next++
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, dfsFrame{b: s})
+			}
+			continue
+		}
+		post = append(post, top.b)
+		stack = stack[:len(stack)-1]
+	}
+	return post, stack
 }
 
 // Reachable returns the set of blocks reachable from entry, dense by
@@ -43,29 +62,48 @@ func (f *Func) Reachable() []bool {
 // DomTree is the dominator tree of a function. All internal tables are
 // dense by Block.ID — the tree is rebuilt by every dominance-consuming pass
 // instance, so its construction cost (formerly dominated by map churn) is
-// squarely on the campaign hot path.
+// squarely on the campaign hot path. Rebuild recomputes a tree in place,
+// so a pass that needs one per function keeps a single DomTree.
 type DomTree struct {
 	fn    *Func
 	idom  []*Block   // immediate dominator; entry and unreachable → nil
 	kids  [][]*Block // dominator-tree children, in RPO
 	order []int32    // reverse postorder index; -1 = unreachable
 	rpo   []*Block
+
+	// Working storage of the depth-first search, kept for Rebuild.
+	seen  []bool
+	stack []dfsFrame
 }
 
 // Dominators computes the dominator tree with the Cooper-Harvey-Kennedy
 // iterative algorithm over reverse postorder.
 func Dominators(f *Func) *DomTree {
+	t := &DomTree{}
+	t.Rebuild(f)
+	return t
+}
+
+// Rebuild recomputes t as the dominator tree of f, reusing t's tables
+// (and each block's children list) where they are large enough. Slices t
+// returned earlier (RPO, Children) are overwritten.
+func (t *DomTree) Rebuild(f *Func) {
 	n := f.nextBlockID
-	t := &DomTree{
-		fn:    f,
-		idom:  make([]*Block, n),
-		kids:  make([][]*Block, n),
-		order: make([]int32, n),
-	}
+	t.fn = f
+	t.idom = resize(t.idom, n)
+	clear(t.idom)
+	t.order = resize(t.order, n)
 	for i := range t.order {
 		t.order[i] = -1
 	}
-	t.rpo = f.ReversePostorder()
+	t.kids = resize(t.kids, n)
+	for i := range t.kids {
+		t.kids[i] = t.kids[i][:0]
+	}
+	t.seen = resize(t.seen, n)
+	clear(t.seen)
+	t.rpo, t.stack = f.postorder(t.rpo[:0], t.seen, t.stack)
+	slices.Reverse(t.rpo)
 	for i, b := range t.rpo {
 		t.order[b.ID] = int32(i)
 	}
@@ -108,7 +146,15 @@ func Dominators(f *Func) *DomTree {
 			t.kids[d.ID] = append(t.kids[d.ID], b)
 		}
 	}
-	return t
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (t *DomTree) intersect(a, b *Block) *Block {
@@ -138,6 +184,9 @@ func (t *DomTree) Children(b *Block) []*Block { return t.kids[b.ID] }
 
 // RPO returns the reachable blocks in reverse postorder.
 func (t *DomTree) RPO() []*Block { return t.rpo }
+
+// Reachable reports whether b is reachable from the entry block.
+func (t *DomTree) Reachable(b *Block) bool { return t.order[b.ID] >= 0 }
 
 // Dominates reports whether a dominates b (reflexively).
 func (t *DomTree) Dominates(a, b *Block) bool {

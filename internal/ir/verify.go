@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Verify checks structural SSA invariants of every function in the module:
@@ -12,6 +13,7 @@ import (
 // the pipeline can run it after every pass in a debug mode.
 func Verify(m *Module) error {
 	var errs []error
+	var v verifier
 	for _, f := range m.Funcs {
 		if f.External {
 			if len(f.Blocks) != 0 {
@@ -19,7 +21,7 @@ func Verify(m *Module) error {
 			}
 			continue
 		}
-		if err := verifyFunc(f); err != nil {
+		if err := v.function(f); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", f.Name, err))
 		}
 	}
@@ -27,9 +29,23 @@ func Verify(m *Module) error {
 }
 
 // VerifyFunc checks one function.
-func VerifyFunc(f *Func) error { return verifyFunc(f) }
+func VerifyFunc(f *Func) error {
+	var v verifier
+	return v.function(f)
+}
 
-func verifyFunc(f *Func) error {
+// verifier holds the dense tables of one Verify call, reused from function
+// to function. blockAt and defAt map an ID back to the block or
+// instruction the function body holds under it, so membership is one
+// comparison: a foreign block or value with a colliding ID fails it.
+type verifier struct {
+	dt      DomTree
+	blockAt []*Block
+	defAt   []*Instr
+	pos     []int32 // an instruction's index within its block
+}
+
+func (v *verifier) function(f *Func) error {
 	var errs []error
 	bail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -38,10 +54,17 @@ func verifyFunc(f *Func) error {
 		return fmt.Errorf("no blocks")
 	}
 
-	inFunc := map[*Block]bool{}
+	v.blockAt = resize(v.blockAt, f.NumBlocks())
+	clear(v.blockAt)
+	v.defAt = resize(v.defAt, f.NumValues())
+	clear(v.defAt)
+	v.pos = resize(v.pos, f.NumValues())
 	for _, b := range f.Blocks {
-		inFunc[b] = true
+		if b.ID < len(v.blockAt) {
+			v.blockAt[b.ID] = b
+		}
 	}
+	inFunc := func(b *Block) bool { return b.ID >= 0 && b.ID < len(v.blockAt) && v.blockAt[b.ID] == b }
 
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
@@ -51,6 +74,10 @@ func verifyFunc(f *Func) error {
 		for i, in := range b.Instrs {
 			if in.Block != b {
 				bail("b%d: instruction v%d has wrong owner", b.ID, in.ID)
+			}
+			if in.ID >= 0 && in.ID < len(v.defAt) {
+				v.defAt[in.ID] = in
+				v.pos[in.ID] = int32(i)
 			}
 			isLast := i == len(b.Instrs)-1
 			if in.Op.IsTerminator() != isLast {
@@ -69,13 +96,13 @@ func verifyFunc(f *Func) error {
 					bail("b%d: phi v%d has %d entries for %d preds", b.ID, in.ID, len(in.Args), len(b.Preds))
 				}
 				for _, pb := range in.PhiPreds {
-					if !blockListContains(b.Preds, pb) {
+					if !slices.Contains(b.Preds, pb) {
 						bail("b%d: phi v%d references non-pred b%d", b.ID, in.ID, pb.ID)
 					}
 				}
 			}
 			for _, t := range in.Targets {
-				if !inFunc[t] {
+				if !inFunc(t) {
 					bail("b%d: v%d targets foreign block", b.ID, in.ID)
 				}
 			}
@@ -94,28 +121,27 @@ func verifyFunc(f *Func) error {
 		}
 	}
 
-	// Edge consistency: preds must mirror successor edges exactly
-	// (as multisets).
-	edgeCount := map[[2]*Block]int{}
+	// Edge consistency: preds must mirror successor edges exactly (as
+	// multisets). Each distinct edge is counted once from its source's
+	// terminator; pred entries from outside the body have no terminator
+	// edge to match.
 	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			edgeCount[[2]*Block{b, s}]++
+		succs := b.Succs()
+		for i, s := range succs {
+			if slices.Index(succs, s) != i {
+				continue // counted at its first occurrence
+			}
+			if n, p := count(succs, s), count(s.Preds, b); n != p {
+				bail("edge b%d->b%d: %d terminator edges, %d pred entries", b.ID, s.ID, n, p)
+			}
 		}
-	}
-	predCount := map[[2]*Block]int{}
-	for _, b := range f.Blocks {
-		for _, p := range b.Preds {
-			predCount[[2]*Block{p, b}]++
-		}
-	}
-	for e, n := range edgeCount {
-		if predCount[e] != n {
-			bail("edge b%d->b%d: %d terminator edges, %d pred entries", e[0].ID, e[1].ID, n, predCount[e])
-		}
-	}
-	for e, n := range predCount {
-		if edgeCount[e] != n {
-			bail("edge b%d->b%d: %d pred entries, %d terminator edges", e[0].ID, e[1].ID, n, edgeCount[e])
+		for i, p := range b.Preds {
+			if slices.Index(b.Preds, p) != i {
+				continue
+			}
+			if !inFunc(p) || count(p.Succs(), b) == 0 {
+				bail("edge b%d->b%d: %d pred entries, 0 terminator edges", p.ID, b.ID, count(b.Preds, p))
+			}
 		}
 	}
 
@@ -123,33 +149,29 @@ func verifyFunc(f *Func) error {
 		return errors.Join(errs...)
 	}
 
-	// Defs dominate uses (reachable blocks only).
-	dt := Dominators(f)
-	reach := f.Reachable()
-	defBlock := map[*Instr]*Block{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			defBlock[in] = b
+	// Defs dominate uses (reachable blocks only). Every instruction's
+	// owner is now its containing block, so a body-held operand's
+	// definition block is its Block.
+	v.dt.Rebuild(f)
+	dt := &v.dt
+	defBlock := func(a *Instr) *Block {
+		if a.ID >= 0 && a.ID < len(v.defAt) && v.defAt[a.ID] == a {
+			return a.Block
 		}
-	}
-	pos := map[*Instr]int{}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
-		}
+		return nil
 	}
 	for _, b := range f.Blocks {
-		if !reach[b.ID] {
+		if !dt.Reachable(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
 			if in.Op == OpPhi {
 				for i, a := range in.Args {
 					pb := in.PhiPreds[i]
-					if !reach[pb.ID] {
+					if !dt.Reachable(pb) {
 						continue
 					}
-					db := defBlock[a]
+					db := defBlock(a)
 					if db == nil {
 						bail("phi v%d arg not in function", in.ID)
 						continue
@@ -161,13 +183,13 @@ func verifyFunc(f *Func) error {
 				continue
 			}
 			for _, a := range in.Args {
-				db := defBlock[a]
+				db := defBlock(a)
 				if db == nil {
 					bail("v%d: operand v%d not in function body", in.ID, a.ID)
 					continue
 				}
 				if db == b {
-					if pos[a] >= pos[in] {
+					if v.pos[a.ID] >= v.pos[in.ID] {
 						bail("b%d: v%d used before defined (v%d)", b.ID, a.ID, in.ID)
 					}
 				} else if !dt.Dominates(db, b) {
@@ -180,11 +202,13 @@ func verifyFunc(f *Func) error {
 	return errors.Join(errs...)
 }
 
-func blockListContains(bs []*Block, b *Block) bool {
+// count reports how many times b occurs in bs.
+func count(bs []*Block, b *Block) int {
+	n := 0
 	for _, x := range bs {
 		if x == b {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }

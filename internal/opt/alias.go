@@ -43,11 +43,11 @@ type AliasCtx struct {
 	exposed []bool // dense by instruction ID at context-build time
 }
 
-// NewAliasCtx builds an alias-query context for f at the given precision.
-// ComputeEscapes must have run on the module for global exposure to be
-// accurate.
-func NewAliasCtx(f *ir.Func, level AliasLevel) *AliasCtx {
-	return &AliasCtx{Level: level, exposed: exposedValues(f)}
+// newAliasCtx builds an alias-query context for f at the given precision,
+// its exposure table taken from sc. ComputeEscapes must have run on the
+// module for global exposure to be accurate.
+func newAliasCtx(sc *scratch, f *ir.Func, level AliasLevel) *AliasCtx {
+	return &AliasCtx{Level: level, exposed: exposedValues(f, zeroed(sc, &sc.aliasExposed, f.NumValues()))}
 }
 
 // isExposed reports whether a (an alloca) was address-exposed when the

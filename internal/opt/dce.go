@@ -32,8 +32,9 @@ func dceFunc(f *ir.Func, o Options) bool {
 	// Use counts over the whole function, dense by instruction ID —
 	// replacing the pointer-keyed maps that made this pass one of the
 	// hottest allocation sites in the campaign.
+	sc := o.scratchOrFresh()
 	n := f.NumValues()
-	uses := make([]int32, n)
+	uses := zeroed(sc, &sc.dce.uses, n)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -54,7 +55,8 @@ func dceFunc(f *ir.Func, o Options) bool {
 	changed := false
 	// Worklist to cascade: removing an instruction may zero its operands'
 	// use counts.
-	var work []*ir.Instr
+	work := sc.dce.work[:0]
+	defer func() { sc.dce.work = work[:0] }()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if uses[in.ID] == 0 && in.Typ != nil && deletable(in) {
@@ -65,7 +67,7 @@ func dceFunc(f *ir.Func, o Options) bool {
 	if len(work) == 0 {
 		return false
 	}
-	dead := make([]bool, n)
+	dead := zeroed(sc, &sc.dce.dead, n)
 	for len(work) > 0 {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]

@@ -13,7 +13,7 @@ import (
 var DSE = Pass{Name: "dse", Pre: ComputeEscapesOpt, Fn: dseFunc}
 
 func dseFunc(f *ir.Func, o Options) bool {
-	ac := NewAliasCtx(f, o.Alias)
+	ac := newAliasCtx(o.scratchOrFresh(), f, o.Alias)
 	changed := false
 	for _, b := range f.Blocks {
 		if dseBlock(b, ac) {

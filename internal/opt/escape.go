@@ -39,13 +39,17 @@ func ComputeEscapesOpt(m *ir.Module, o Options) {
 		}
 		return
 	}
-	ComputeEscapes(m)
+	computeEscapes(m, o.scratchOrFresh())
 }
 
 // ComputeEscapes (re)computes Global.Escapes and Global.AddrExposed from
 // scratch: every flag is reset first, so the result is a function of the
 // module alone.
-func ComputeEscapes(m *ir.Module) {
+func ComputeEscapes(m *ir.Module) { computeEscapes(m, &scratch{}) }
+
+// computeEscapes is ComputeEscapes with its per-function tables taken from
+// sc.
+func computeEscapes(m *ir.Module, sc *scratch) {
 	// Step 1: per-function parameter escape summaries, to a fixpoint: does
 	// the value passed for parameter i escape to external code (stored to
 	// memory, passed to an external call, returned, or passed to an
@@ -62,7 +66,7 @@ func ComputeEscapes(m *ir.Module) {
 			if f.External {
 				continue
 			}
-			esc := escapingValues(f, summaries)
+			esc := escapingValues(f, summaries, zeroed(sc, &sc.escaping, f.NumValues()))
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
 					if in.Op == ir.OpParam && esc[in.ID] && !summaries[f][in.ParamIdx] {
@@ -98,8 +102,8 @@ func ComputeEscapes(m *ir.Module) {
 		if f.External {
 			continue
 		}
-		esc := escapingValues(f, summaries)
-		exposed := exposedValues(f)
+		esc := escapingValues(f, summaries, zeroed(sc, &sc.escaping, f.NumValues()))
+		exposed := exposedValues(f, zeroed(sc, &sc.exposed, f.NumValues()))
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op != ir.OpGlobalAddr {
@@ -123,9 +127,9 @@ func ComputeEscapes(m *ir.Module) {
 }
 
 // escapingValues computes the set of SSA values in f whose pointee may be
-// accessed by external code, dense by instruction ID.
-func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool) []bool {
-	esc := make([]bool, f.NumValues())
+// accessed by external code into esc, dense by instruction ID and all false
+// on entry, and returns it.
+func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool, esc []bool) []bool {
 	var mark func(v *ir.Instr)
 	mark = func(v *ir.Instr) {
 		if esc[v.ID] {
@@ -176,9 +180,9 @@ func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool) []bool {
 
 // exposedValues computes values whose address identity leaks beyond direct
 // memory accesses and comparisons, dense by instruction ID: such objects can
-// be pointed at by pointers of unknown provenance.
-func exposedValues(f *ir.Func) []bool {
-	exp := make([]bool, f.NumValues())
+// be pointed at by pointers of unknown provenance. exp must be all false
+// and f.NumValues() long; it is filled and returned.
+func exposedValues(f *ir.Func, exp []bool) []bool {
 	var mark func(v *ir.Instr)
 	mark = func(v *ir.Instr) {
 		if exp[v.ID] {

@@ -7,3 +7,19 @@ func SetSkipping(on bool) (restore func()) {
 	skipUnchanged = on
 	return func() { skipUnchanged = prev }
 }
+
+// Scratch modes for SetScratch.
+const (
+	ScratchShared   = int(scratchShared)
+	ScratchFresh    = int(scratchFresh)
+	ScratchPoisoned = int(scratchPoisoned)
+)
+
+// SetScratch selects how ObservedPipeline provisions pass scratch for the
+// tests of package opt_test and returns a function restoring the previous
+// mode.
+func SetScratch(mode int) (restore func()) {
+	prev := pipelineScratch
+	pipelineScratch = scratchMode(mode)
+	return func() { pipelineScratch = prev }
+}

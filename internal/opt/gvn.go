@@ -37,7 +37,10 @@ func gvnForward(m *ir.Module, o Options) bool {
 // would miss.
 func singleStoreForward(m *ir.Module, o Options) bool {
 	changed := false
-	ai := buildAccessIndex(m)
+	ai := buildAccessIndex(m, o.scratchOrFresh())
+	// Deleting loads leaves the CFG alone, so each function's dominator
+	// tree is computed once per call, by the first global that needs it.
+	doms := map[*ir.Func]*ir.DomTree{}
 	for _, g := range m.Globals {
 		if g.Escapes || g.AddrExposed || g.Len != 1 {
 			continue
@@ -71,10 +74,10 @@ func singleStoreForward(m *ir.Module, o Options) bool {
 			}
 			continue
 		}
-		dt := ir.Dominators(f)
-		pos := map[*ir.Instr]int{}
-		for i, in := range s.Block.Instrs {
-			pos[in] = i
+		dt := doms[f]
+		if dt == nil {
+			dt = ir.Dominators(f)
+			doms[f] = dt
 		}
 		forwarded := false
 		for _, l := range loads {
@@ -82,7 +85,7 @@ func singleStoreForward(m *ir.Module, o Options) bool {
 				continue
 			}
 			if l.Block == s.Block {
-				if pos[l] < pos[s] {
+				if precedes(s.Block, l, s) {
 					continue // load precedes the store in its own block
 				}
 			} else if !dt.Dominates(s.Block, l.Block) {
@@ -117,17 +120,31 @@ func singleStoreForward(m *ir.Module, o Options) bool {
 	return changed
 }
 
-func gvnFunc(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	ac := NewAliasCtx(f, o.Alias)
-	g := &gvnState{
-		o:       o,
-		ac:      ac,
-		table:   map[gvnKey]*ir.Instr{},
-		typeIDs: map[*types.Type]int{},
-		typeStr: map[string]int{},
+// precedes reports whether x comes before y in b (both are in b).
+func precedes(b *ir.Block, x, y *ir.Instr) bool {
+	for _, in := range b.Instrs {
+		switch in {
+		case x:
+			return true
+		case y:
+			return false
+		}
 	}
-	changed := g.walk(f.Entry(), dt)
+	return false
+}
+
+func gvnFunc(f *ir.Func, o Options) bool {
+	sc := o.scratchOrFresh()
+	gs := &sc.gvn
+	if gs.table == nil {
+		gs.table = map[gvnKey]*ir.Instr{}
+		gs.typeIDs = map[*types.Type]int{}
+		gs.typeStr = map[string]int{}
+	}
+	clear(gs.table)
+	gs.added, gs.avail = gs.added[:0], gs.avail[:0]
+	g := &gvnState{o: o, ac: newAliasCtx(sc, f, o.Alias), gvnScratch: gs}
+	changed := g.walk(f.Entry(), sc.domTree(f))
 	// One sweep repairs every remaining stale operand (phis visited before
 	// the value they reference was replaced).
 	g.reloc.Apply(f)
@@ -137,13 +154,48 @@ func gvnFunc(f *ir.Func, o Options) bool {
 type gvnState struct {
 	o     Options
 	ac    *AliasCtx
-	table map[gvnKey]*ir.Instr
 	reloc ir.Relocator
+	*gvnScratch
+}
+
+// gvnScratch is GVN's slot of the pipeline scratch.
+type gvnScratch struct {
+	// table maps the key of every pure value in scope (defined in a block
+	// dominating the current one) to its representative.
+	table map[gvnKey]*ir.Instr
+	// added stacks the keys the blocks on the walk's current path entered
+	// into table; a block pops its own when the walk leaves it.
+	added []gvnKey
+	// avail is the current block's store-to-load forwarding state.
+	avail []memEntry
 	// Type interning: structurally identical types can be distinct
 	// pointers, so key equality goes through a string-deduplicated id —
-	// computed once per distinct pointer, not once per instruction.
+	// computed once per distinct pointer, not once per instruction. The
+	// ids are a pure function of the types, so unlike the tables above
+	// the interning is kept from function to function.
 	typeIDs map[*types.Type]int
 	typeStr map[string]int
+}
+
+// memEntry is one forwarding candidate: loc currently holds val.
+type memEntry struct {
+	loc Loc
+	val *ir.Instr
+}
+
+// invalidate drops the forwarding candidates whose location pred selects
+// and reports how many it killed, so the call-clobber remark can say what
+// was lost.
+func (g *gvnState) invalidate(pred func(Loc) bool) int {
+	kept := g.avail[:0]
+	for _, e := range g.avail {
+		if !pred(e.loc) {
+			kept = append(kept, e)
+		}
+	}
+	n := len(g.avail) - len(kept)
+	g.avail = kept
+	return n
 }
 
 // gvnKey is the structural identity of a pure instruction — a comparable
@@ -177,28 +229,13 @@ func (g *gvnState) typeID(t *types.Type) int {
 // walk performs a preorder dominator-tree traversal with a scoped table.
 func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 	changed := false
-	var added []gvnKey
+	mark := len(g.added)
+	g.avail = g.avail[:0] // forwarding is block-local
 
-	// Block-local memory state for forwarding.
-	type memEntry struct {
-		loc Loc
-		val *ir.Instr
-	}
-	var avail []memEntry
-	// invalidate reports how many forwarding candidates it killed, so the
-	// call-clobber remark can say what was lost.
-	invalidate := func(pred func(Loc) bool) int {
-		kept := avail[:0]
-		for _, e := range avail {
-			if !pred(e.loc) {
-				kept = append(kept, e)
-			}
-		}
-		n := len(avail) - len(kept)
-		avail = kept
-		return n
-	}
-
+	// The survivors go to a fresh slice rather than being compacted in
+	// place: instcombine ranges over b.Instrs while InsertBefore grows it,
+	// so the spare capacity an in-place compaction leaves behind would
+	// change which instructions a later sweep revisits.
 	var keep []*ir.Instr
 	for _, in := range b.Instrs {
 		// Canonicalize operands through pending replacements first: value
@@ -215,7 +252,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 		case ir.OpLoad:
 			loc := ResolveLoc(in.Args[0])
 			forwarded := false
-			for _, e := range avail {
+			for _, e := range g.avail {
 				if MustAlias(e.loc, loc) && e.val.Typ != nil && types.Identical(e.val.Typ, in.Typ) {
 					g.reloc.Add(in, e.val)
 					forwarded = true
@@ -229,19 +266,19 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 				}
 				continue // drop the load
 			}
-			avail = append(avail, memEntry{loc, in})
+			g.avail = append(g.avail, memEntry{loc, in})
 
 		case ir.OpStore:
 			loc := ResolveLoc(in.Args[0])
-			invalidate(func(l Loc) bool { return g.ac.MayAlias(l, loc) })
+			g.invalidate(func(l Loc) bool { return g.ac.MayAlias(l, loc) })
 			if !in.Widened && g.o.LoadForwarding {
-				avail = append(avail, memEntry{loc, in.Args[1]})
+				g.avail = append(g.avail, memEntry{loc, in.Args[1]})
 			}
 
 		case ir.OpCall:
 			if in.Callee != nil && in.Callee.External {
 				// Opaque externals can only touch escaping/exposed storage.
-				killed := invalidate(func(l Loc) bool {
+				killed := g.invalidate(func(l Loc) bool {
 					switch {
 					case l.G != nil:
 						return l.G.Escapes
@@ -256,8 +293,8 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 						fmt.Sprintf("external call may write escaping storage: %d forwarding candidates dropped", killed))
 				}
 			} else {
-				killed := len(avail)
-				avail = avail[:0] // internal call: no mod/ref summary
+				killed := len(g.avail)
+				g.avail = g.avail[:0] // internal call: no mod/ref summary
 				if killed > 0 && g.o.RemarksOn() {
 					subject := "call"
 					if in.Callee != nil {
@@ -284,7 +321,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 					continue // drop the duplicate
 				}
 				g.table[key] = in
-				added = append(added, key)
+				g.added = append(g.added, key)
 			}
 		}
 		keep = append(keep, in)
@@ -296,9 +333,10 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 			changed = true
 		}
 	}
-	for _, k := range added {
+	for _, k := range g.added[mark:] {
 		delete(g.table, k)
 	}
+	g.added = g.added[:mark]
 	return changed
 }
 

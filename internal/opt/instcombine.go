@@ -42,7 +42,7 @@ func instCombineFunc(f *ir.Func, o Options) bool {
 		changed = true
 		reloc.Apply(f)
 		reloc.Reset()
-		dceFunc(f, Options{}) // drop the now-dead originals before the next sweep (no remarks: it is instcombine cleanup, not a dce decision)
+		dceFunc(f, Options{scratch: o.scratch}) // drop the now-dead originals before the next sweep (no remarks: it is instcombine cleanup, not a dce decision)
 	}
 	return changed
 }

@@ -35,7 +35,7 @@ func ipsccp(m *ir.Module, o Options) bool {
 		return false
 	}
 	ComputeEscapesOpt(m, o)
-	ai := buildAccessIndex(m)
+	ai := buildAccessIndex(m, o.scratchOrFresh())
 	changed := false
 	for _, g := range m.Globals {
 		if g.Escapes || g.AddrExposed {
@@ -75,6 +75,7 @@ func ipsccp(m *ir.Module, o Options) bool {
 // non-address constants, which cannot grow any other global's access set.
 type accessIndex struct {
 	info map[*ir.Global]*globalAccessInfo
+	sc   *scratch // the per-function tables' source, for rebuild
 }
 
 type globalAccessInfo struct {
@@ -85,8 +86,8 @@ type globalAccessInfo struct {
 	badGEP              bool        // disallowed use within a GEP chain
 }
 
-func buildAccessIndex(m *ir.Module) *accessIndex {
-	ai := &accessIndex{info: make(map[*ir.Global]*globalAccessInfo, len(m.Globals))}
+func buildAccessIndex(m *ir.Module, sc *scratch) *accessIndex {
+	ai := &accessIndex{info: make(map[*ir.Global]*globalAccessInfo, len(m.Globals)), sc: sc}
 	get := func(g *ir.Global) *globalAccessInfo {
 		gi := ai.info[g]
 		if gi == nil {
@@ -97,9 +98,9 @@ func buildAccessIndex(m *ir.Module) *accessIndex {
 	}
 	for _, f := range m.Funcs {
 		n := f.NumValues()
-		base := make([]*ir.Global, n) // chain base: the global this value addresses
-		chain := make([]bool, n)      // value is a GEP link, not the raw address
-		state := make([]uint8, n)     // GEP memo: 0 unresolved, 1 visiting, 2 done
+		base := zeroed(sc, &sc.access.base, n)   // chain base: the global this value addresses
+		chain := zeroed(sc, &sc.access.chain, n) // value is a GEP link, not the raw address
+		state := zeroed(sc, &sc.access.state, n) // GEP memo: 0 unresolved, 1 visiting, 2 done
 		var resolve func(in *ir.Instr) *ir.Global
 		resolve = func(in *ir.Instr) *ir.Global {
 			switch in.Op {
@@ -172,7 +173,7 @@ func buildAccessIndex(m *ir.Module) *accessIndex {
 	return ai
 }
 
-func (ai *accessIndex) rebuild(m *ir.Module) { *ai = *buildAccessIndex(m) }
+func (ai *accessIndex) rebuild(m *ir.Module) { *ai = *buildAccessIndex(m, ai.sc) }
 
 // accesses collects all direct loads and stores of g. ok is false if g's
 // address is used in any other way (e.g. behind non-constant GEPs for

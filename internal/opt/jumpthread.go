@@ -18,9 +18,10 @@ import (
 var JumpThread = Pass{Name: "jumpthread", Fn: jumpThreadFunc}
 
 func jumpThreadFunc(f *ir.Func, o Options) bool {
+	sc := o.scratchOrFresh()
 	changed := false
 	for {
-		if !jumpThreadOnce(f) {
+		if !jumpThreadOnce(f, sc) {
 			break
 		}
 		changed = true
@@ -28,7 +29,7 @@ func jumpThreadFunc(f *ir.Func, o Options) bool {
 	return changed
 }
 
-func jumpThreadOnce(f *ir.Func) bool {
+func jumpThreadOnce(f *ir.Func, sc *scratch) bool {
 	var dt *ir.DomTree // computed lazily; valid until the first rewrite
 	for _, b := range f.Blocks {
 		if b == f.Entry() || len(b.Preds) < 2 {
@@ -65,7 +66,7 @@ func jumpThreadOnce(f *ir.Func) bool {
 			// pred b must dominate the new pred p (being defined outside b
 			// is necessary but not sufficient).
 			if dt == nil {
-				dt = ir.Dominators(f)
+				dt = sc.domTree(f)
 			}
 			if !phisSafeToRetarget(b, target, p, dt) {
 				continue

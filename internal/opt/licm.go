@@ -18,11 +18,11 @@ func licmFunc(f *ir.Func, o Options) bool {
 	if removeUnreachable(f) { // preheader creation assumes reachable preds
 		f.MarkMutated() // unreported mutation; the pass manager must see it
 	}
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
-	ac := NewAliasCtx(f, o.Alias)
+	sc := o.scratchOrFresh()
+	loops := ir.NaturalLoops(f, sc.domTree(f))
+	ac := newAliasCtx(sc, f, o.Alias)
 	for _, l := range loops {
-		if licmLoop(f, l, ac, o) {
+		if licmLoop(f, l, ac, o, sc) {
 			changed = true
 		}
 	}
@@ -129,7 +129,7 @@ func allSame(vals []*ir.Instr) bool {
 	return true
 }
 
-func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
+func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, sc *scratch) bool {
 	// Collect loop memory behaviour. Iterate f.Blocks for determinism.
 	var loopStores []Loc
 	hasInternalCall, hasExternalCall := false, false
@@ -153,7 +153,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
 
 	// Dense by instruction ID; values created later (preheader branch/phis)
 	// are out of range and correctly read as defined outside the loop.
-	definedInLoop := make([]bool, f.NumValues())
+	definedInLoop := zeroed(sc, &sc.licm.defs, f.NumValues())
 	for _, b := range f.Blocks {
 		if !l.Blocks[b] {
 			continue
@@ -205,7 +205,8 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
 	}
 
 	var pre *ir.Block
-	var scratch []*ir.Instr // reused snapshot: hoisting mutates b.Instrs mid-walk
+	snapshot := sc.licm.snapshot[:0] // hoisting mutates b.Instrs mid-walk
+	defer func() { sc.licm.snapshot = snapshot[:0] }()
 	changed := false
 	for {
 		moved := false
@@ -213,8 +214,8 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
 			if !l.Blocks[b] {
 				continue
 			}
-			scratch = append(scratch[:0], b.Instrs...)
-			for _, in := range scratch {
+			snapshot = append(snapshot[:0], b.Instrs...)
+			for _, in := range snapshot {
 				hoist := false
 				switch {
 				case in.Op == ir.OpPhi || in.Op.IsTerminator():

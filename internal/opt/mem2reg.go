@@ -37,15 +37,14 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 		return false
 	}
 
-	dt := ir.Dominators(f)
+	dt := o.scratchOrFresh().domTree(f)
 	df := dt.Frontiers()
-	reach := f.Reachable()
 
 	// All promotions share one relocation batch: dropped loads resolve
 	// through it on read, and a single Apply sweep rewrites the survivors.
 	var reloc ir.Relocator
 	for _, a := range cands {
-		promote(f, a, dt, df, reach, &reloc)
+		promote(f, a, dt, df, &reloc)
 		if o.RemarksOn() {
 			o.applied(f, fmt.Sprintf("alloca v%d", a.ID), "promoted to SSA registers")
 		}
@@ -80,7 +79,7 @@ func promotable(f *ir.Func, a *ir.Instr) bool {
 
 // promote rewrites all loads/stores of alloca a into SSA values. Load
 // replacements are batched into reloc; the caller applies them once.
-func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []bool, reloc *ir.Relocator) {
+func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reloc *ir.Relocator) {
 	elem := a.Typ.Elem
 	nb := f.NumBlocks()
 
@@ -104,7 +103,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, fb := range df[b.ID] {
-			if !reach[fb.ID] {
+			if !dt.Reachable(fb) {
 				continue
 			}
 			if phiAt[fb.ID] != nil {
@@ -184,7 +183,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []
 	// Unreachable blocks may still reference the alloca; replace those
 	// accesses with the zero value so the alloca can be deleted.
 	for _, b := range f.Blocks {
-		if reach[b.ID] {
+		if dt.Reachable(b) {
 			continue
 		}
 		keep := b.Instrs[:0]

@@ -130,6 +130,12 @@ type Options struct {
 	// path. Unexported: it is pipeline plumbing, not a personality knob,
 	// and must never differ between Options values being compared.
 	remarks *remarkCtx
+
+	// scratch is the pipeline's reusable pass working memory (see
+	// scratch.go). Set by ObservedPipeline, and forwarded to the cleanup
+	// dce that vrp and instcombine run; passes reach it through
+	// scratchOrFresh, which falls back to fresh allocation.
+	scratch *scratch
 }
 
 // Pass is one transformation or analysis. Exactly one of Fn (function
@@ -379,6 +385,7 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 			o.remarks = &remarkCtx{sink: sink}
 		}
 	}
+	o.scratch = newPipelineScratch()
 	ps := newPipeState(passes)
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false

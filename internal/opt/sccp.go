@@ -14,14 +14,14 @@ import (
 var SCCP = Pass{Name: "sccp", Fn: sccpFunc}
 
 func sccpFunc(f *ir.Func, o Options) bool {
-	s := &sccpState{
-		f:         f,
-		opts:      o,
-		lat:       make([]lattice, f.NumValues()),
-		edgeExec:  make([]bool, f.NumBlocks()*2),
-		blockExec: make([]bool, f.NumBlocks()),
-	}
-	s.buildUsers(f)
+	sc := o.scratchOrFresh()
+	s := &sc.sccp
+	s.f, s.opts = f, o
+	zeroed(sc, &s.lat, f.NumValues())
+	zeroed(sc, &s.edgeExec, f.NumBlocks()*2)
+	zeroed(sc, &s.blockExec, f.NumBlocks())
+	s.flowWork, s.ssaWork = s.flowWork[:0], s.ssaWork[:0]
+	s.buildUsers(sc, f)
 	s.solve()
 	return s.apply()
 }
@@ -62,10 +62,11 @@ func meet(a, b lattice) lattice {
 
 // buildUsers constructs the def→use edges in CSR form: userStart[id] /
 // userStart[id+1] delimit id's users inside userData. Two dense passes, two
-// allocations — no per-value map entries or append-grown slices.
-func (s *sccpState) buildUsers(f *ir.Func) {
+// tables, taken from the scratch — no per-value map entries or append-grown
+// slices.
+func (s *sccpState) buildUsers(sc *scratch, f *ir.Func) {
 	n := f.NumValues()
-	start := make([]int32, n+1)
+	start := zeroed(sc, &s.userStart, n+1)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -76,8 +77,8 @@ func (s *sccpState) buildUsers(f *ir.Func) {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	data := make([]*ir.Instr, start[n])
-	fill := make([]int32, n)
+	data := dirty(sc, &s.userData, int(start[n]))
+	fill := zeroed(sc, &s.fill, n)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -86,7 +87,6 @@ func (s *sccpState) buildUsers(f *ir.Func) {
 			}
 		}
 	}
-	s.userStart, s.userData = start, data
 }
 
 func (s *sccpState) users(in *ir.Instr) []*ir.Instr {
@@ -106,9 +106,11 @@ type sccpState struct {
 	blockExec []bool
 	userStart []int32
 	userData  []*ir.Instr
+	fill      []int32 // buildUsers' per-value fill cursor
 
 	flowWork [][2]*ir.Block
 	ssaWork  []*ir.Instr
+	snapshot []*ir.Instr // apply's copy of the block being rewritten
 }
 
 // edgeIsExec reports whether the CFG edge from→to is executable.
@@ -391,7 +393,8 @@ func (s *sccpState) apply() bool {
 			}
 			return in // unreachable: a block always has a terminator
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		s.snapshot = append(s.snapshot[:0], b.Instrs...)
+		for _, in := range s.snapshot {
 			v := s.lat[in.ID]
 			if in.Typ == nil {
 				continue

@@ -133,73 +133,127 @@ func compileOnce(t *testing.T, label string, prog *instrument.Program, o opt.Opt
 	return compileRun{asm: asm.Emit(m), changed: h.changed, remarks: rc.Profile()}
 }
 
-// TestSkipEquivalence is the permanent check of the pass manager's one
-// shortcut: compiling with instance skipping on and off must produce
-// byte-identical assembly, the identical sequence of per-instance changed
-// flags, and identical remark profiles. Both runs also check that every
-// mutation is visible to the skip rule (honestyObserver).
-func TestSkipEquivalence(t *testing.T) {
-	type program struct {
+// equivalenceProgram and equivalenceConfig are the inputs of the
+// equivalence suites below, which compare the pipeline's shortcuts against
+// its plain path.
+type equivalenceProgram struct {
+	name string
+	prog *instrument.Program
+}
+
+type equivalenceConfig struct {
+	name string
+	cfg  *pipeline.Config
+	o    opt.Options
+}
+
+// equivalenceInputs returns the programs (DefaultConfig, SmallConfig and
+// campaign-large-shaped) and configs (all ten, plus a pessimistic-escape
+// ablation and a mid-history commit) the equivalence suites compile.
+func equivalenceInputs(t *testing.T) ([]equivalenceProgram, []equivalenceConfig) {
+	t.Helper()
+	type gen struct {
 		name string
 		cfg  cgen.Config
 	}
-	var corpus []program
+	var gens []gen
 	defaults, smalls := []int64{1, 2, 3, 4}, []int64{5, 6, 7, 8}
 	if testing.Short() {
 		defaults, smalls = defaults[:2], smalls[:2]
 	}
 	for _, s := range defaults {
-		corpus = append(corpus, program{fmt.Sprintf("default-%d", s), cgen.DefaultConfig(s)})
+		gens = append(gens, gen{fmt.Sprintf("default-%d", s), cgen.DefaultConfig(s)})
 	}
 	for _, s := range smalls {
-		corpus = append(corpus, program{fmt.Sprintf("small-%d", s), cgen.SmallConfig(s)})
+		gens = append(gens, gen{fmt.Sprintf("small-%d", s), cgen.SmallConfig(s)})
 	}
 	for _, s := range []int64{41, 42} {
 		// Shaped like the benchmark's campaign-large programs.
 		c := cgen.DefaultConfig(s)
 		c.Functions, c.MaxBlockDepth, c.MaxStmts = 12, 4, 6
-		corpus = append(corpus, program{fmt.Sprintf("large-%d", s), c})
+		gens = append(gens, gen{fmt.Sprintf("large-%d", s), c})
+	}
+	var programs []equivalenceProgram
+	for _, g := range gens {
+		prog, err := instrument.Instrument(cgen.Generate(g.cfg), instrument.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		programs = append(programs, equivalenceProgram{g.name, prog})
 	}
 
-	type config struct {
-		name string
-		cfg  *pipeline.Config
-		o    opt.Options
-	}
-	var configs []config
+	var configs []equivalenceConfig
 	for _, p := range []pipeline.Personality{pipeline.GCC, pipeline.LLVM} {
 		for _, lvl := range pipeline.Levels {
 			c := pipeline.New(p, lvl)
-			configs = append(configs, config{c.Name(), c, c.Options()})
+			configs = append(configs, equivalenceConfig{c.Name(), c, c.Options()})
 		}
 	}
 	pess := pipeline.New(pipeline.LLVM, pipeline.O3)
 	o := pess.Options()
 	o.PessimisticEscape = true
-	configs = append(configs, config{pess.Name() + " pessimistic-escape", pess, o})
+	configs = append(configs, equivalenceConfig{pess.Name() + " pessimistic-escape", pess, o})
 	mid := pipeline.AtCommit(pipeline.GCC, pipeline.O3, len(pipeline.History(pipeline.GCC))/2)
-	configs = append(configs, config{mid.Name(), mid, mid.Options()})
+	configs = append(configs, equivalenceConfig{mid.Name(), mid, mid.Options()})
+	return programs, configs
+}
 
-	for _, p := range corpus {
-		prog, err := instrument.Instrument(cgen.Generate(p.cfg), instrument.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+// sameRun reports every way got differs from want: assembly, per-instance
+// changed flags, remark profiles.
+func sameRun(t *testing.T, label, what string, got, want compileRun) {
+	t.Helper()
+	if got.asm != want.asm {
+		t.Errorf("%s: assembly differs %s", label, what)
+	}
+	if !reflect.DeepEqual(got.changed, want.changed) {
+		t.Errorf("%s: per-instance changed flags differ %s:\n got  %v\n want %v", label, what, got.changed, want.changed)
+	}
+	if !reflect.DeepEqual(got.remarks, want.remarks) {
+		t.Errorf("%s: remark profiles differ %s", label, what)
+	}
+}
+
+// TestSkipEquivalence is the permanent check of the pass manager's
+// instance skipping: compiling with skipping on and off must produce
+// byte-identical assembly, the identical sequence of per-instance changed
+// flags, and identical remark profiles. Both runs also check that every
+// mutation is visible to the skip rule (honestyObserver).
+func TestSkipEquivalence(t *testing.T) {
+	programs, configs := equivalenceInputs(t)
+	for _, p := range programs {
 		for _, c := range configs {
 			label := p.name + " " + c.name
-			on := compileOnce(t, label+" (skipping)", prog, c.o, c.cfg)
+			on := compileOnce(t, label+" (skipping)", p.prog, c.o, c.cfg)
 			restore := opt.SetSkipping(false)
-			off := compileOnce(t, label+" (no skipping)", prog, c.o, c.cfg)
+			off := compileOnce(t, label+" (no skipping)", p.prog, c.o, c.cfg)
 			restore()
-			if on.asm != off.asm {
-				t.Errorf("%s: assembly differs with skipping on", label)
-			}
-			if !reflect.DeepEqual(on.changed, off.changed) {
-				t.Errorf("%s: per-instance changed flags differ with skipping on:\n on  %v\n off %v", label, on.changed, off.changed)
-			}
-			if !reflect.DeepEqual(on.remarks, off.remarks) {
-				t.Errorf("%s: remark profiles differ with skipping on", label)
-			}
+			sameRun(t, label, "with skipping on", on, off)
+		}
+	}
+}
+
+// TestScratchEquivalence is the permanent check of the pipeline-owned pass
+// scratch: compiling with one scratch shared by every pass call, and with
+// that scratch poisoning each hand-out, must produce byte-identical
+// assembly, changed flags and remark profiles to fresh tables per pass
+// call. Poisoning fills every handed-out backing array with junk before it
+// zeroes the part handed out, so a pass that reads an entry it never wrote,
+// or keeps using a table after it was handed out again, diverges (or
+// crashes on a junk pointer's negative ID) instead of passing by luck.
+func TestScratchEquivalence(t *testing.T) {
+	programs, configs := equivalenceInputs(t)
+	for _, p := range programs {
+		for _, c := range configs {
+			label := p.name + " " + c.name
+			shared := compileOnce(t, label+" (shared scratch)", p.prog, c.o, c.cfg)
+			restore := opt.SetScratch(opt.ScratchPoisoned)
+			poisoned := compileOnce(t, label+" (poisoned scratch)", p.prog, c.o, c.cfg)
+			restore()
+			restore = opt.SetScratch(opt.ScratchFresh)
+			fresh := compileOnce(t, label+" (fresh scratch)", p.prog, c.o, c.cfg)
+			restore()
+			sameRun(t, label, "with a shared scratch", shared, fresh)
+			sameRun(t, label, "with a poisoned scratch", poisoned, fresh)
 		}
 	}
 }

@@ -33,8 +33,7 @@ func unrollFunc(f *ir.Func, o Options) bool {
 const unrollBodyLimit = 600
 
 func unrollOne(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
+	loops := ir.NaturalLoops(f, o.scratchOrFresh().domTree(f))
 	for _, l := range loops {
 		if tryUnroll(f, l, o) {
 			return true

@@ -32,8 +32,7 @@ func unswitchFunc(f *ir.Func, o Options) bool {
 }
 
 func unswitchOne(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
+	loops := ir.NaturalLoops(f, o.scratchOrFresh().domTree(f))
 	for _, l := range loops {
 		// Find an invariant conditional branch in a non-header block.
 		// Iterate f.Blocks (not the loop's block set) for determinism.

@@ -78,16 +78,27 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// vrpSlot is one value's computed range; set tells a computed range from
+// one not computed yet.
+type vrpSlot struct {
+	r   vrange
+	set bool
+}
+
 func vrpFunc(f *ir.Func, o Options) bool {
-	ranges := map[*ir.Instr]vrange{}
+	sc := o.scratchOrFresh()
+	// Dense by instruction ID. Values created mid-flight (the fold's
+	// constants) are out of range and read as full, like any value without
+	// a computed range.
+	ranges := zeroed(sc, &sc.vrp, f.NumValues())
 	get := func(v *ir.Instr) vrange {
-		if r, ok := ranges[v]; ok {
-			return r
+		if v.ID < len(ranges) && ranges[v.ID].set {
+			return ranges[v.ID].r
 		}
 		return fullR()
 	}
 
-	dt := ir.Dominators(f)
+	dt := sc.domTree(f)
 	counterRanges := loopCounterRanges(f, dt)
 
 	// Fixpoint with a visit cap; ranges only widen (to full) so this
@@ -144,9 +155,8 @@ func vrpFunc(f *ir.Func, o Options) bool {
 				if in.Typ != nil && in.Typ.IsInteger() {
 					r = soundClamp(r, in.Typ)
 				}
-				old, had := ranges[in]
-				if !had || old != r {
-					ranges[in] = r
+				if old := ranges[in.ID]; !old.set || old.r != r {
+					ranges[in.ID] = vrpSlot{r: r, set: true}
 					changed = true
 				}
 			}
@@ -192,7 +202,7 @@ func vrpFunc(f *ir.Func, o Options) bool {
 	}
 	if foldedAny {
 		reloc.Apply(f)
-		dceFunc(f, Options{}) // cleanup sweep; no remarks
+		dceFunc(f, Options{scratch: o.scratch}) // cleanup sweep; no remarks
 	}
 	return foldedAny
 }

@@ -22,8 +22,7 @@ func widenStoresFunc(f *ir.Func, o Options) bool {
 	if !o.WidenPointerLoopStores {
 		return false
 	}
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
+	loops := ir.NaturalLoops(f, o.scratchOrFresh().domTree(f))
 	changed := false
 	for _, l := range loops {
 		for _, b := range f.Blocks {

@@ -90,19 +90,32 @@ for row in "${overhead_gates[@]}"; do
         }'
 done
 
-# Allocation-regression gate: allocs/op of the standard compile unit must
-# stay within 10% of the recorded baseline (scripts/alloc-baseline.txt).
-# Unlike wall time, allocation counts are deterministic for the fixed
-# benchmark seed, so this catches churn regressions (a pass reintroducing
-# per-iteration map rebuilds, say) that timing gates would hide in noise.
-baseline=$(grep -v '^#' scripts/alloc-baseline.txt | head -1)
-go test -run '^$' -bench 'BenchmarkUnitCompile$' -benchmem -benchtime 5x . | awk -v base="$baseline" '
-    /BenchmarkUnitCompile/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i }
+# Allocation-regression gate: allocs/op and B/op of the standard compile
+# unit must each stay within 10% of the recorded baseline
+# (scripts/alloc-baseline.txt). Unlike wall time, allocation counts and
+# bytes are deterministic for the fixed benchmark seed, so this catches
+# churn regressions (a pass reintroducing per-function table allocation
+# instead of taking the pipeline's scratch, say) that timing gates would
+# hide in noise. Bytes are gated as well as counts because bytes are what
+# drive the collector's work.
+allocs_base=$(awk '$1 == "allocs/op" { print $2 }' scripts/alloc-baseline.txt)
+bytes_base=$(awk '$1 == "B/op" { print $2 }' scripts/alloc-baseline.txt)
+go test -run '^$' -bench 'BenchmarkUnitCompile$' -benchmem -benchtime 5x . | awk -v abase="$allocs_base" -v bbase="$bytes_base" '
+    /BenchmarkUnitCompile/ {
+        for (i = 1; i < NF; i++) {
+            if ($(i+1) == "allocs/op") allocs = $i
+            if ($(i+1) == "B/op") bytes = $i
+        }
+    }
     END {
-        if (allocs == 0) { print "unit compile bench did not run" > "/dev/stderr"; exit 1 }
-        ratio = allocs / base
-        printf "unit compile allocations: %d/op (baseline %d, gate +10%%)\n", allocs, base
-        if (ratio > 1.10) { print "allocs/op regressed beyond the gate; if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
+        if (allocs == 0 || bytes == 0) { print "unit compile bench did not run" > "/dev/stderr"; exit 1 }
+        if (abase == 0 || bbase == 0) { print "scripts/alloc-baseline.txt lacks an allocs/op or B/op line" > "/dev/stderr"; exit 1 }
+        printf "unit compile allocations: %d/op (baseline %d, gate +10%%)\n", allocs, abase
+        printf "unit compile bytes: %d B/op (baseline %d, gate +10%%)\n", bytes, bbase
+        bad = 0
+        if (allocs / abase > 1.10) { print "allocs/op regressed beyond the gate" > "/dev/stderr"; bad = 1 }
+        if (bytes / bbase > 1.10) { print "B/op regressed beyond the gate" > "/dev/stderr"; bad = 1 }
+        if (bad) { print "if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
     }'
 
 # Parallel scaling gate: the scheduler must buy real throughput, not just
